@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -21,6 +22,7 @@ __all__ = [
     "Matchup",
     "ModelId",
     "ModelRegistry",
+    "PairCells",
     "SCHEMA_PRESETS",
     "design_row",
     "elo_transform",
@@ -134,6 +136,31 @@ class IngestStats:
 
 
 @dataclass(frozen=True)
+class PairCells:
+    """The arena collapsed onto unordered model pairs.
+
+    Cell c holds every matchup between models ``lo[c] < hi[c]``, in either seat
+    order. Matchup n falls in class ``row_class[n] = 2 * c + 1`` when the
+    lower-index model won it and ``2 * c`` otherwise, so matchups that differ
+    only in seat order share a class, and the likelihood depends on a weighting
+    only through its per-class sums.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    row_class: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return int(self.lo.size)
+
+    def class_weights(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell weight of the matchups the lower-index model won and lost."""
+        cw = np.bincount(self.row_class, weights=w, minlength=2 * self.n_cells)
+        return cw[1::2], cw[0::2]
+
+
+@dataclass(frozen=True)
 class Arena:
     """Immutable, ordered collection of decisive matchups over a model registry.
 
@@ -203,6 +230,18 @@ class Arena:
             a_won=bool(self.a_won[n]),
             meta=self.meta[n] if self.meta is not None else None,
         )
+
+    @cached_property
+    def cells(self) -> PairCells:
+        """Pair cells and each matchup's class; built once per arena."""
+        m = self.n_models
+        lo = np.minimum(self.side_a, self.side_b)
+        keys, cell = np.unique(lo * m + np.maximum(self.side_a, self.side_b), return_inverse=True)
+        lo_won = np.where(self.side_a == lo, self.a_won, 1 - self.a_won)
+        cells = PairCells(lo=keys // m, hi=keys % m, row_class=2 * cell.reshape(-1) + lo_won)
+        for arr in (cells.lo, cells.hi, cells.row_class):
+            arr.flags.writeable = False
+        return cells
 
     def occurrence_counts(self) -> np.ndarray:
         """Number of matchups each model took part in; sums to 2N."""

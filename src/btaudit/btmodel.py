@@ -2,18 +2,20 @@
 
 The negative log-likelihood is convex and low-dimensional (one free coordinate
 per model beyond the pinned reference), so a damped Newton iteration with a
-dense solve per step is cheap and deterministic.
+dense solve per step is cheap and deterministic. It depends on a weighting only
+through the weighted win counts of each pair of models that met, so a fit
+collapses the rows onto the arena's pair cells once and iterates on those.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .arena import Arena
+from .arena import Arena, PairCells
 
 __all__ = [
     "BtFit",
@@ -26,6 +28,7 @@ __all__ = [
     "head_to_head",
     "ranking",
     "refit_without",
+    "sigmoid",
     "top_k_set",
 ]
 
@@ -33,6 +36,10 @@ __all__ = [
 _DIVERGENCE_BOUND = 30.0
 # Below this gradient norm the iterate is in the quadratic basin; take raw Newton steps.
 _PURE_NEWTON_GRAD = 1e-5
+# The line search compares objective values, so it cannot resolve a predicted
+# decrease within 64 ulps of the objective. Large total weights get there at
+# gradient norms above _PURE_NEWTON_GRAD; raw Newton steps are taken there too.
+_LINE_SEARCH_RESOLUTION = 64.0 * np.finfo(np.float64).eps
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 
@@ -97,9 +104,9 @@ class BtFit:
 
     ``scores[0]`` is exactly 0 (the reference). ``fitted_probs[n]`` is the
     probability that side A of matchup n wins under the fitted scores, stored
-    for every matchup and recomputable bit-stably from ``scores``.
-    Immutable after construction apart from an internal cache reused by
-    influence computations (one curvature factorization per fit).
+    for every matchup and recomputable bit-stably from ``scores`` with
+    ``sigmoid``. Immutable after construction apart from an internal cache
+    reused by influence computations (one curvature factorization per fit).
     """
 
     arena: Arena
@@ -148,21 +155,42 @@ def _resolve_weights(arena: Arena, weighting) -> np.ndarray:
     return w
 
 
-def _objective(theta, side_a, side_b, won, w, ridge) -> float:
-    z = theta[side_a] - theta[side_b]
-    val = float(w @ (np.logaddexp(0.0, z) - won * z))
+def sigmoid(z):
+    """Logistic function 1 / (1 + exp(-z)), silent for any finite or infinite input.
+
+    Accurate to a few ulps in both tails; below z = -709, where exp(-z) would
+    overflow, it returns 1 / (1 + exp(709)) ~ 1.2e-308 in place of a value that
+    is at most that small.
+    """
+    return 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
+
+
+# The likelihood core. Every function below works on pair cells: ``wins[c]`` and
+# ``total[c]`` are the weight of cell c's matchups that its lower-index model won
+# and of all of them, so one Newton step costs O(cells), whatever the row count.
+
+def _per_model(cells: PairCells, as_lo, as_hi, n_models: int) -> np.ndarray:
+    """Per-model sums of a cell quantity, seen from the lower and the higher model."""
+    return np.bincount(cells.lo, weights=as_lo, minlength=n_models) + np.bincount(
+        cells.hi, weights=as_hi, minlength=n_models
+    )
+
+
+def _objective(theta, cells: PairCells, wins, total, ridge) -> float:
+    z = theta[cells.lo] - theta[cells.hi]
+    val = float(total @ np.logaddexp(0.0, z) - wins @ z)
     if ridge:
         free = theta[1:]
         val += 0.5 * ridge * float(free @ free)
     return val
 
 
-def _gradient(theta, side_a, side_b, won, w, ridge, n_models):
-    z = theta[side_a] - theta[side_b]
-    p = expit(z)
-    r = w * (p - won)
-    g = np.bincount(side_a, weights=r, minlength=n_models) - np.bincount(
-        side_b, weights=r, minlength=n_models
+def _gradient(theta, cells: PairCells, wins, total, ridge, n_models):
+    """Gradient on the free coordinates, and each cell's probability that its lower model wins."""
+    p = sigmoid(theta[cells.lo] - theta[cells.hi])
+    r = total * p - wins
+    g = np.bincount(cells.lo, weights=r, minlength=n_models) - np.bincount(
+        cells.hi, weights=r, minlength=n_models
     )
     g = g[1:]
     if ridge:
@@ -170,18 +198,15 @@ def _gradient(theta, side_a, side_b, won, w, ridge, n_models):
     return g, p
 
 
-def _curvature(side_a, side_b, p, w, ridge, n_models) -> np.ndarray:
-    s = w * p * (1.0 - p)
-    diag = np.bincount(side_a, weights=s, minlength=n_models) + np.bincount(
-        side_b, weights=s, minlength=n_models
-    )
-    off = np.bincount(side_a * n_models + side_b, weights=s, minlength=n_models * n_models)
-    off = off.reshape(n_models, n_models)
-    h_full = np.diag(diag) - (off + off.T)
-    h = h_full[1:, 1:]
-    if ridge:
-        h = h + ridge * np.eye(n_models - 1)
-    return h
+def _curvature(cells: PairCells, total, p, ridge, n_models) -> np.ndarray:
+    """Curvature on the free coordinates; cells are distinct pairs, so entries are set, not summed."""
+    off = total * p * (p - 1.0)  # minus each cell's weighted variance
+    h = np.zeros((n_models, n_models))
+    h[cells.lo, cells.hi] = off
+    h[cells.hi, cells.lo] = off
+    # The ridge lands on the reference's diagonal entry too, which is cut off below.
+    h.flat[:: n_models + 1] = ridge - _per_model(cells, off, off, n_models)
+    return h[1:, 1:]
 
 
 def _direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -189,21 +214,39 @@ def _direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
         d = np.linalg.solve(h, -g)
     except np.linalg.LinAlgError:
         d = None
-    if d is None or not np.all(np.isfinite(d)):
+    if d is None or not np.isfinite(d).all():
         bump = 1e-10 * (np.trace(h) / h.shape[0] + 1.0)
         try:
             d = np.linalg.solve(h + bump * np.eye(h.shape[0]), -g)
         except np.linalg.LinAlgError:
             d = None
-    if d is None or not np.all(np.isfinite(d)) or float(g @ d) >= 0:
+        if d is not None and not np.isfinite(d).all():
+            d = None
+    if d is None or float(g @ d) >= 0:
         d = -g  # singular curvature: plain descent step
     return d
 
 
-def _minimize(side_a, side_b, won, n_models, w, options: SolverOptions, theta0):
+def _armijo_step(theta, d, g, cells: PairCells, wins, total, ridge) -> float | None:
+    """Backtracking step length along d, or None at the numerical floor."""
+    f0 = _objective(theta, cells, wins, total, ridge)
+    slope = float(g @ d)
+    if -slope <= _LINE_SEARCH_RESOLUTION * abs(f0) and float(np.abs(d).max()) <= 1.0:
+        return 1.0  # the quadratic basin, reached at a large total weight
+    step = 1.0
+    for _ in range(_MAX_HALVINGS):
+        cand = theta.copy()
+        cand[1:] += step * d
+        if _objective(cand, cells, wins, total, ridge) <= f0 + _ARMIJO * step * slope:
+            return step
+        step *= 0.5
+    return None
+
+
+def _minimize(cells: PairCells, wins, total, n_models, options: SolverOptions, theta0):
     """Damped Newton with reference coordinate pinned at 0.
 
-    Returns (theta, probs, converged, iterations, gradient_norm).
+    Returns (theta, converged, iterations, gradient_norm).
     """
     if theta0 is None:
         theta = np.zeros(n_models)
@@ -219,11 +262,11 @@ def _minimize(side_a, side_b, won, n_models, w, options: SolverOptions, theta0):
     ridge, tol = options.ridge, options.tol
     converged = False
     iterations = 0
-    g, p = _gradient(theta, side_a, side_b, won, w, ridge, n_models)
+    g, p = _gradient(theta, cells, wins, total, ridge, n_models)
     gnorm = float(np.abs(g).max()) if g.size else 0.0
 
     while True:
-        if not np.isfinite(gnorm):
+        if not math.isfinite(gnorm):
             raise FitError("non-finite values encountered during fitting"
                            " (possible separation with ridge = 0)")
         if gnorm <= tol:
@@ -234,47 +277,22 @@ def _minimize(side_a, side_b, won, n_models, w, options: SolverOptions, theta0):
         if ridge == 0.0 and float(np.abs(theta).max()) > _DIVERGENCE_BOUND:
             break  # unbounded drift; reported via the diverged flag
 
-        h = _curvature(side_a, side_b, p, w, ridge, n_models)
+        h = _curvature(cells, total, p, ridge, n_models)
         d = _direction(h, g)
-
-        if gnorm <= _PURE_NEWTON_GRAD and float(np.abs(d).max()) <= 1.0:
-            # Quadratic basin: the full Newton step is safe and the objective
-            # differences are below float resolution, so skip the line search.
-            cand = theta.copy()
-            cand[1:] += d
-            theta = cand
-        else:
-            f0 = _objective(theta, side_a, side_b, won, w, ridge)
-            slope = float(g @ d)
-            step = 1.0
-            accepted = False
-            for _ in range(_MAX_HALVINGS):
-                cand = theta.copy()
-                cand[1:] += step * d
-                f1 = _objective(cand, side_a, side_b, won, w, ridge)
-                if f1 <= f0 + _ARMIJO * step * slope:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
+        step = 1.0
+        if gnorm > _PURE_NEWTON_GRAD or float(np.abs(d).max()) > 1.0:
+            step = _armijo_step(theta, d, g, cells, wins, total, ridge)
+            if step is None:
                 break  # numerical floor reached before the gradient tolerance
-            theta = cand
+        # Otherwise in the quadratic basin: the full Newton step is safe and the
+        # objective differences are below float resolution, so skip the search.
+        theta = theta.copy()
+        theta[1:] += step * d
         iterations += 1
-        g, p = _gradient(theta, side_a, side_b, won, w, ridge, n_models)
+        g, p = _gradient(theta, cells, wins, total, ridge, n_models)
         gnorm = float(np.abs(g).max()) if g.size else 0.0
 
-    return theta, expit(theta[side_a] - theta[side_b]), converged, iterations, gnorm
-
-
-def _boundary_models(side_a, side_b, won, w, n_models) -> np.ndarray:
-    """Models whose weighted record is all wins or all losses (likelihood unbounded)."""
-    wins = np.bincount(side_a, weights=w * won, minlength=n_models) + np.bincount(
-        side_b, weights=w * (1.0 - won), minlength=n_models
-    )
-    games = np.bincount(side_a, weights=w, minlength=n_models) + np.bincount(
-        side_b, weights=w, minlength=n_models
-    )
-    return (games > 0) & ((wins == 0) | (wins == games))
+    return theta, converged, iterations, gnorm
 
 
 def fit(
@@ -291,25 +309,27 @@ def fit(
     """
     options = options or SolverOptions()
     w = _resolve_weights(arena, weighting)
-    won = arena.a_won.astype(np.float64)
+    cells = arena.cells
     n_models = arena.n_models
+    wins, losses = cells.class_weights(w)
+    total = wins + losses
 
-    scores, probs, converged, iterations, gnorm = _minimize(
-        arena.side_a, arena.side_b, won, n_models, w, options, warm_start
+    scores, converged, iterations, gnorm = _minimize(
+        cells, wins, total, n_models, options, warm_start
     )
 
+    games = _per_model(cells, total, total, n_models)
     diverged = False
     if options.ridge == 0.0:
-        spread = float(np.abs(scores).max())
-        if spread > _DIVERGENCE_BOUND or bool(np.any(_boundary_models(
-                arena.side_a, arena.side_b, won, w, n_models))):
+        # A model whose weighted record is all wins or all losses has an unbounded likelihood.
+        record = _per_model(cells, wins, losses, n_models)
+        boundary = (games > 0) & ((record == 0) | (record == games))
+        if float(np.abs(scores).max()) > _DIVERGENCE_BOUND or bool(np.any(boundary)):
             diverged = True
             converged = False
 
-    games = np.bincount(arena.side_a, weights=w, minlength=n_models) + np.bincount(
-        arena.side_b, weights=w, minlength=n_models
-    )
     unidentified = tuple(int(k) for k in np.flatnonzero(games == 0))
+    probs = sigmoid(scores[arena.side_a] - scores[arena.side_b])
 
     scores.flags.writeable = False
     probs.flags.writeable = False
@@ -334,9 +354,9 @@ def _fit_scores(
     warm_start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score vector only; skips diagnostics for tight refit loops."""
-    won = arena.a_won.astype(np.float64)
-    scores, _, _, _, _ = _minimize(
-        arena.side_a, arena.side_b, won, arena.n_models, w, options, warm_start
+    wins, losses = arena.cells.class_weights(w)
+    scores, _, _, _ = _minimize(
+        arena.cells, wins, wins + losses, arena.n_models, options, warm_start
     )
     return scores
 

@@ -1,8 +1,8 @@
 """Per-matchup influence on fitted scores: first-order and leverage-corrected.
 
-All computations share one Cholesky factorization of the fit's curvature
-matrix, cached on the fit; solves against it are read-only and safe to run
-concurrently.
+All computations share one checked inverse of the fit's curvature matrix,
+cached on the fit and read-only, so they are safe to run concurrently. Scores
+are computed once per (pair cell, winner) class and gathered to matchups.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .btmodel import BtFit, FitError
+from .btmodel import BtFit, FitError, _curvature, sigmoid
 
 __all__ = [
     "HessianFactor",
@@ -31,8 +30,9 @@ _SATURATION = 1e-12
 
 # Score conventions. "derivative" is the exact derivative of a fitted score with
 # respect to a matchup's weight and is what finite differences reproduce.
-# "scaled" multiplies each score by the matchup's fitted variance p(1-p); it
-# ranks matchups differently but never changes a verdict, which is refit-gated.
+# "scaled" multiplies each score by the matchup's fitted variance p(1-p). It
+# ranks matchups differently, so it can pick another drop set to refit and with
+# it another verdict; every verdict is still refit-gated.
 _MODES = ("derivative", "scaled")
 
 
@@ -41,37 +41,28 @@ class SingularHessianError(RuntimeError):
 
 
 class HessianFactor:
-    """Solvable factorization of the curvature matrix on the free coordinates.
+    """The fit's curvature matrix on the free coordinates, checked and inverted once.
 
-    Assembled once per fit; basis solutions and the embedded inverse are cached
-    so any number of targets reuse the same factorization.
+    Assembled by the solver's own curvature routine from the fit's pair cells,
+    at the fitted scores; ``probs[c]`` is the fitted probability that cell c's
+    lower-index model wins.
     """
 
     def __init__(self, bt: BtFit):
-        arena = bt.arena
-        m = arena.n_models
-        p = bt.fitted_probs
-        s = bt.weights * p * (1.0 - p)
-        diag = np.bincount(arena.side_a, weights=s, minlength=m) + np.bincount(
-            arena.side_b, weights=s, minlength=m
-        )
-        off = np.bincount(
-            arena.side_a * m + arena.side_b, weights=s, minlength=m * m
-        ).reshape(m, m)
-        h = (np.diag(diag) - (off + off.T))[1:, 1:]
-        if bt.ridge:
-            h = h + bt.ridge * np.eye(m - 1)
-        self.matrix = h
-        self._n_models = m
+        cells = bt.arena.cells
+        m = bt.arena.n_models
+        wins, losses = cells.class_weights(bt.weights)
+        self.probs = sigmoid(bt.scores[cells.lo] - bt.scores[cells.hi])
+        self.matrix = _curvature(cells, wins + losses, self.probs, bt.ridge, m)
         singular = None
         try:
-            self._cho = cho_factor(h, lower=True)
+            chol = np.linalg.cholesky(self.matrix)
         except np.linalg.LinAlgError as exc:
             singular = exc
-        if singular is None:
+        else:
             # Rounding can push an exactly singular matrix through the
             # factorization with a tiny pivot; treat that as singular too.
-            pivots = np.abs(np.diag(self._cho[0]))
+            pivots = np.abs(np.diag(chol))
             if pivots.min() <= 1e-7 * pivots.max():
                 singular = np.linalg.LinAlgError("numerically singular factor")
         if singular is not None:
@@ -79,38 +70,14 @@ class HessianFactor:
                 "curvature matrix is singular; the comparison graph is "
                 "disconnected or the data are separated (ridge = 0)"
             ) from singular
-        self._basis: dict[int, np.ndarray] = {}
-        self._inverse: np.ndarray | None = None
-
-    @property
-    def n_models(self) -> int:
-        return self._n_models
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve on the free coordinates."""
-        return cho_solve(self._cho, rhs)
-
-    def basis_solution(self, target: int) -> np.ndarray:
-        """Full-length solution of H u = e_target, zero at the reference coordinate."""
-        cached = self._basis.get(target)
-        if cached is not None:
-            return cached
-        e = np.zeros(self._n_models - 1)
-        e[target - 1] = 1.0
-        full = np.zeros(self._n_models)
-        full[1:] = self.solve(e)
-        full.flags.writeable = False
-        self._basis[target] = full
-        return full
+        chol_inv = np.linalg.inv(chol)
+        k = np.zeros((m, m))
+        k[1:, 1:] = chol_inv.T @ chol_inv
+        k.flags.writeable = False
+        self._inverse = k
 
     def inverse(self) -> np.ndarray:
-        """Embedded inverse with zero reference row and column; cached."""
-        if self._inverse is None:
-            m = self._n_models
-            k = np.zeros((m, m))
-            k[1:, 1:] = cho_solve(self._cho, np.eye(m - 1))
-            k.flags.writeable = False
-            self._inverse = k
+        """Embedded inverse with zero reference row and column."""
         return self._inverse
 
 
@@ -133,6 +100,44 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+# Per-class scores. Every matchup of a class (one pair cell, one winner) has the
+# same score, whatever its seat order, so each is computed once per class in
+# O(cells) and gathered to matchups with ``cells.row_class``.
+
+def _class_influence(bt: BtFit, t: int, mode: str) -> np.ndarray:
+    fac = hessian_factor(bt)
+    cells = bt.arena.cells
+    u = fac.inverse()[t]
+    p = fac.probs
+    # Residuals of the lower-index model's outcome: lost (class 2c), won (class 2c + 1).
+    scores = (u[cells.lo] - u[cells.hi])[:, None] * np.stack([-p, 1.0 - p], axis=1)
+    if mode == "scaled":
+        scores = scores * (p * (1.0 - p))[:, None]
+    return scores.reshape(-1)
+
+
+def _cell_leverages(bt: BtFit) -> np.ndarray:
+    fac = hessian_factor(bt)
+    cells = bt.arena.cells
+    k = fac.inverse()
+    lo, hi = cells.lo, cells.hi
+    return fac.probs * (1.0 - fac.probs) * (k[lo, lo] + k[hi, hi] - 2.0 * k[lo, hi])
+
+
+def _class_newton(bt: BtFit, t: int, mode: str) -> np.ndarray:
+    denom = 1.0 - np.repeat(_cell_leverages(bt), 2)
+    saturated = denom <= _SATURATION
+    if np.any(saturated):
+        rows = int(np.count_nonzero(saturated[bt.arena.cells.row_class]))
+        warnings.warn(
+            f"{rows} matchup(s) at saturated leverage; scores clamped to a sentinel",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        denom = np.where(saturated, _SATURATION, denom)
+    return _class_influence(bt, t, mode) / denom
+
+
 def influence_scores(bt: BtFit, target: int | str, mode: str = "derivative") -> np.ndarray:
     """Derivative of the target model's fitted score with respect to each matchup weight.
 
@@ -141,27 +146,14 @@ def influence_scores(bt: BtFit, target: int | str, mode: str = "derivative") -> 
     """
     _check_fit(bt)
     _check_mode(mode)
-    arena = bt.arena
-    t = arena.models.resolve(target)
-    if t == 0:
-        return np.zeros(arena.n_matchups)
-    fac = hessian_factor(bt)
-    u = fac.basis_solution(t)
-    resid = arena.a_won.astype(np.float64) - bt.fitted_probs
-    scores = (u[arena.side_a] - u[arena.side_b]) * resid
-    if mode == "scaled":
-        scores = scores * (bt.fitted_probs * (1.0 - bt.fitted_probs))
-    return scores
+    t = bt.arena.models.resolve(target)
+    return _class_influence(bt, t, mode)[bt.arena.cells.row_class]
 
 
 def leverages(bt: BtFit) -> np.ndarray:
     """Weighted hat-matrix diagonal: p(1-p) * x' H^-1 x per matchup."""
     _check_fit(bt)
-    fac = hessian_factor(bt)
-    k = fac.inverse()
-    sa, sb = bt.arena.side_a, bt.arena.side_b
-    quad = k[sa, sa] + k[sb, sb] - 2.0 * k[sa, sb]
-    return bt.fitted_probs * (1.0 - bt.fitted_probs) * quad
+    return _cell_leverages(bt)[bt.arena.cells.row_class >> 1]
 
 
 def leverage(bt: BtFit, n: int) -> float:
@@ -176,19 +168,10 @@ def newton_scores(bt: BtFit, target: int | str, mode: str = "derivative") -> np.
     Matchups at saturated leverage (h >= 1 - 1e-12) are clamped to a large
     sentinel and reported with a warning; the refit step keeps verdicts exact.
     """
-    base = influence_scores(bt, target, mode=mode)
-    h = leverages(bt)
-    denom = 1.0 - h
-    saturated = denom <= _SATURATION
-    if np.any(saturated):
-        warnings.warn(
-            f"{int(saturated.sum())} matchup(s) at saturated leverage; "
-            "scores clamped to a sentinel",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        denom = np.where(saturated, _SATURATION, denom)
-    return base / denom
+    _check_fit(bt)
+    _check_mode(mode)
+    t = bt.arena.models.resolve(target)
+    return _class_newton(bt, t, mode)[bt.arena.cells.row_class]
 
 
 @dataclass(frozen=True)
@@ -209,16 +192,19 @@ def pair_influence(
     Exactly influence(a) - influence(b), so linearity holds bit-for-bit and
     swapping the pair negates the scores.
     """
+    _check_fit(bt)
+    _check_mode(mode)
     ia = bt.arena.models.resolve(a)
     ib = bt.arena.models.resolve(b)
     if ia == ib:
         raise ValueError("pair influence needs two distinct models")
     if method == "if":
-        per_target = influence_scores
+        per_target = _class_influence
     elif method == "newton":
-        per_target = newton_scores
+        per_target = _class_newton
     else:
         raise ValueError(f"method must be 'if' or 'newton', got {method!r}")
-    scores = per_target(bt, ia, mode=mode) - per_target(bt, ib, mode=mode)
+    per_class = per_target(bt, ia, mode) - per_target(bt, ib, mode)
+    scores = per_class[bt.arena.cells.row_class]
     scores.flags.writeable = False
     return PairInfluence(pair=(ia, ib), scores=scores, method=method, mode=mode)

@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
-from scipy.special import expit
 
 from .arena import Arena
-from .btmodel import BtFit, FitError, SolverOptions, _fit_scores, fit
+from .btmodel import BtFit, FitError, SolverOptions, _fit_scores, fit, sigmoid
+from .robustness import reverses
 
 __all__ = [
     "BruteForceResult",
@@ -74,7 +74,7 @@ def generate(spec: SynthSpec) -> Arena:
     side_b: list[int] = []
     a_won: list[int] = []
     for a, b, games in spec.schedule:
-        p_win = float(expit(strengths[a] - strengths[b]))
+        p_win = float(sigmoid(strengths[a] - strengths[b]))
         wins = rng.random(games) < p_win
         side_a.extend([a] * games)
         side_b.extend([b] * games)
@@ -155,8 +155,8 @@ def brute_force_pair(
             f"{total} refits needed for N={n}, budget={budget}; cap is {max_refits}"
         )
 
-    # Cold starts match the refit-verification procedure: exactly symmetric
-    # reduced datasets land on exact score ties, and a tie is not a flip.
+    # Cold starts and the flip test match the refit-verification procedure:
+    # exactly symmetric reduced datasets land on score ties, and a tie is not a flip.
     w = np.ones(n)
     performed = 0
     for size in sizes:
@@ -166,7 +166,7 @@ def brute_force_pair(
             scores = _fit_scores(arena, w, options)
             w[idx] = 1.0
             performed += 1
-            if scores[ia] < scores[ib]:
+            if reverses(float(scores[ia]), float(scores[ib])):
                 return BruteForceResult(True, subset, performed)
     return BruteForceResult(False, None, performed)
 

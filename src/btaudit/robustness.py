@@ -1,9 +1,9 @@
 """Worst-case drop-set selection, refit-verified pairwise checks, and top-k audits.
 
 A "non-robust" verdict is never issued on a prediction alone: the candidate
-subset is always removed and the model refit, and only a strict score reversal
-in the refit counts. Predictions can miss flips (the guarantee is one-sided)
-but verified verdicts carry a concrete witness.
+subset is always removed and the model refit, and only a reversal of the pair's
+scores in the refit beyond rounding counts. Predictions can miss flips (the
+guarantee is one-sided) but verified verdicts carry a concrete witness.
 """
 
 from __future__ import annotations
@@ -26,8 +26,20 @@ __all__ = [
     "check_topk",
     "involvement_composition",
     "min_drop_search",
+    "reverses",
     "select_drop_set",
 ]
+
+# A refit gap within 8 ulps of the scores' scale is a tie: the refit solves to a
+# gradient tolerance far above it, so the gap's sign there is rounding noise,
+# not evidence of a reversal.
+_TIE_TOLERANCE = 8.0 * np.finfo(np.float64).eps
+
+
+def reverses(leader_after: float, challenger_after: float) -> bool:
+    """True when a refit puts the challenger above the leader by more than rounding."""
+    scale = max(1.0, abs(leader_after), abs(challenger_after))
+    return leader_after - challenger_after < -_TIE_TOLERANCE * scale
 
 
 @dataclass(frozen=True)
@@ -68,8 +80,8 @@ class RobustnessReport:
     ``pair`` is normalized so the first model has the weakly higher full-data
     score (exact ties go to the lower index). ``dropped`` is ordered most
     influential first. The verdict is "non-robust" only when a refit was
-    performed and reversed the ordering strictly; degenerate refits (a pair
-    model lost all its matchups) withhold the verdict.
+    performed and reversed the ordering beyond rounding; degenerate refits (a
+    pair model lost all its matchups) withhold the verdict.
     """
 
     pair: tuple[int, int]
@@ -182,9 +194,9 @@ def check_pair(
     """Audit one pair: select a worst-case drop set, predict, and refit to verify.
 
     The refit reuses the base fit's options and starts from the canonical
-    origin, so exactly symmetric reduced datasets land on exact score ties
-    (a tie is not a flip) and re-running ``refit_without`` on the reported
-    indices reproduces the reported outcome bit for bit.
+    origin, so exactly symmetric reduced datasets land on score ties (a gap
+    within rounding of zero is not a flip), and re-running ``refit_without``
+    on the reported indices reproduces the reported outcome bit for bit.
     """
     ia, ib = _canonical_pair(bt, a, b)
     gap = float(bt.scores[ia] - bt.scores[ib])
@@ -206,7 +218,7 @@ def check_pair(
         refit = refit_without(arena, bt.options, dropped)
         refit_performed = True
         scores_after = (float(refit.scores[ia]), float(refit.scores[ib]))
-        refit_flip = bool(scores_after[0] < scores_after[1])
+        refit_flip = reverses(*scores_after)
         unidentified = refit.unidentified
         degenerate = ia in unidentified or ib in unidentified
         refit_converged = refit.converged

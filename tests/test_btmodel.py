@@ -15,6 +15,7 @@ from btaudit import (
     refit_without,
     top_k_set,
 )
+from btaudit.btmodel import sigmoid
 from conftest import RIDGELESS, round_robin_spec, two_player_arena
 
 
@@ -55,16 +56,36 @@ def test_ridge_keeps_separated_fit_finite():
 
 
 def test_gradient_at_optimum_invariant():
+    # The per-row gradient is the reference the pair-cell solver is checked against.
     arena = generate(round_robin_spec(3, n_models=4))
+    n = arena.n_matchups
+    weightings = [None, Weighting.drop(n, [0, 5, 7])]
+    for sign in (+1.0, -1.0):
+        w = np.ones(n)
+        w[4] = 1.0 + sign * 1e-4
+        weightings.append(w)
     for options in (RIDGELESS, SolverOptions()):
-        bt = fit(arena, options=options)
-        assert bt.converged
-        won = arena.a_won.astype(float)
-        resid = bt.weights * (bt.fitted_probs - won)
-        g = np.bincount(arena.side_a, weights=resid, minlength=4)
-        g -= np.bincount(arena.side_b, weights=resid, minlength=4)
-        g = g[1:] + options.ridge * bt.scores[1:]
-        assert np.abs(g).max() <= options.tol
+        for weighting in weightings:
+            bt = fit(arena, weighting, options=options)
+            assert bt.converged
+            won = arena.a_won.astype(float)
+            resid = bt.weights * (bt.fitted_probs - won)
+            g = np.bincount(arena.side_a, weights=resid, minlength=4)
+            g -= np.bincount(arena.side_b, weights=resid, minlength=4)
+            g = g[1:] + options.ridge * bt.scores[1:]
+            assert np.abs(g).max() <= options.tol
+
+
+def test_large_total_weight_converges_to_the_same_scores():
+    # At large total weight the objective's rounding swamps the line search's
+    # predicted decrease; the solver must still reach the gradient tolerance.
+    # Without a ridge, scaling every weight leaves the minimizer unchanged.
+    arena = generate(round_robin_spec(3, n_models=30, games_per_pair=3))
+    base = fit(arena, options=RIDGELESS)
+    heavy = fit(arena, np.full(arena.n_matchups, 1e6), options=RIDGELESS)
+    assert base.converged and heavy.converged
+    assert np.allclose(heavy.scores, base.scores, rtol=0, atol=1e-9)
+    assert fit(arena, np.full(arena.n_matchups, 1e6)).converged  # default ridge
 
 
 def test_refit_without_empty_set_is_bitwise_identical():
@@ -119,7 +140,7 @@ def test_orientation_invariance():
     )
     a = fit(arena, options=SolverOptions())
     b = fit(flipped, options=SolverOptions())
-    assert np.allclose(a.scores, b.scores, atol=1e-6)
+    assert np.array_equal(a.scores, b.scores)
 
 
 def test_relabeling_equivariance():
@@ -147,12 +168,22 @@ def test_shift_invariance_of_probabilities():
 
 
 def test_fitted_probs_recomputable_bit_stably():
-    from scipy.special import expit
-
     arena = generate(round_robin_spec(23, n_models=4))
     bt = fit(arena)
-    recomputed = expit(bt.scores[arena.side_a] - bt.scores[arena.side_b])
+    recomputed = sigmoid(bt.scores[arena.side_a] - bt.scores[arena.side_b])
     assert np.array_equal(recomputed, bt.fitted_probs)
+
+
+def test_sigmoid_is_stable_in_both_tails():
+    z = np.array([-np.inf, -1e4, -745.0, -40.0, -1.0, 0.0, 1.0, 40.0, 1e4, np.inf])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        p = sigmoid(z)
+    assert 0.0 <= p[0] <= 1.3e-308 and 0.0 <= p[1] <= 1.3e-308
+    assert p[-1] == 1.0 and p[-2] == 1.0
+    assert p[5] == 0.5
+    assert np.all(np.diff(p) >= 0)
+    assert np.allclose(p + sigmoid(-z), 1.0, rtol=0, atol=1e-15)
+    assert sigmoid(-40.0) == pytest.approx(np.exp(-40.0), rel=1e-15)
 
 
 def test_warm_start_converges_immediately():

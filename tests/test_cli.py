@@ -220,3 +220,11 @@ def test_console_script_runs():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_needs_numpy_only():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, btaudit.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -17,7 +17,10 @@ from btaudit import (
     leverages,
     newton_scores,
     pair_influence,
+    random_spec,
+    ranking,
     refit_without,
+    select_drop_set,
 )
 from conftest import RIDGELESS, round_robin_spec, two_player_arena
 
@@ -156,10 +159,12 @@ def test_factor_solve_residual():
     arena = generate(round_robin_spec(37, n_models=5, games_per_pair=4))
     bt = fit(arena)
     fac = hessian_factor(bt)
+    k = fac.inverse()
+    assert not k[0].any() and not k[:, 0].any()  # the pinned reference
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(5):
         b = rng.standard_normal(arena.n_models - 1)
-        x = fac.solve(b)
+        x = k[1:, 1:] @ b
         assert np.linalg.norm(fac.matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -195,3 +200,27 @@ def test_bad_mode_and_method_rejected(fit_2_2):
         influence_scores(fit_2_2, 1, mode="banana")
     with pytest.raises(ValueError, match="method"):
         pair_influence(fit_2_2, 0, 1, method="banana")
+
+
+def test_seat_order_twins_tie_bit_for_bit():
+    # Each matchup is stored twice: once as drawn and once, earlier in the
+    # arena, with the seats swapped and the outcome flipped. The twins are one
+    # likelihood term, so their scores must be equal bit for bit, and the
+    # drop-set tie-break must then pick the earlier (swapped) copy.
+    for seed in range(20):
+        drawn = generate(random_spec(seed, n_models=4, target_matchups=16))
+        n = drawn.n_matchups
+        arena = Arena.from_records(
+            drawn.models.names,
+            list(zip(drawn.side_b, drawn.side_a, 1 - drawn.a_won))
+            + list(zip(drawn.side_a, drawn.side_b, drawn.a_won)),
+        )
+        bt = fit(arena)
+        first, second = ranking(bt).order[:2]
+        for method in ("if", "newton"):
+            pi = pair_influence(bt, first, second, method=method)
+            assert np.array_equal(pi.scores[:n], pi.scores[n:])
+            chosen = select_drop_set(pi, 1)
+            if chosen.size:
+                assert chosen[0] < n
+        assert np.array_equal(leverages(bt)[:n], leverages(bt)[n:])

@@ -21,6 +21,7 @@ from btaudit import (
     top_k_set,
 )
 from btaudit import robustness as robustness_mod
+from btaudit.robustness import reverses
 from conftest import round_robin_spec, two_player_arena
 
 
@@ -293,3 +294,30 @@ def test_topk_first_pair_is_boundary_pair():
         tk = check_topk(arena, bt, k, DropBudget(count=1))
         order = ranking(bt).order
         assert tk.per_pair[0].pair == (order[k - 1], order[k])
+
+
+def test_refit_gap_within_rounding_is_a_tie():
+    # Oracle-sweep arena (seed 612, index 203). Dropping matchup 2 leaves m3 and
+    # m2 symmetric; the refit gap is a few 1e-17 of either sign, depending on
+    # rounding. Both the check and the oracle must read it as a tie.
+    records = [(0, 1, 1), (1, 2, 0), (2, 3, 0), (3, 4, 1), (3, 2, 0), (2, 0, 0),
+               (0, 4, 0), (4, 3, 0), (2, 1, 0), (4, 3, 1), (1, 4, 1), (4, 1, 1),
+               (1, 4, 1), (2, 1, 1), (3, 2, 0), (2, 3, 0), (0, 3, 0)]
+    arena = Arena.from_records(["m0", "m1", "m2", "m3", "m4"], records)
+    bt = fit(arena)
+    first, second = ranking(bt).order[:2]
+    assert (first, second) == (3, 2)
+    rep = check_pair(arena, bt, first, second, DropBudget(count=1), always_refit=True)
+    assert rep.dropped == (2,)
+    assert abs(rep.gap_after) < 1e-15
+    assert rep.verdict == "robust"
+    assert not brute_force_pair(arena, first, second, 1).flip_exists
+
+
+def test_reverses_needs_more_than_rounding():
+    eps = np.finfo(float).eps
+    assert not reverses(0.3, 0.3)
+    assert not reverses(0.3, 0.3 + 4 * eps)
+    assert reverses(0.3, 0.3 + 1e-12)
+    assert not reverses(1e3, 1e3 + 4 * eps * 1e3)  # the tolerance scales with the scores
+    assert reverses(-1.0, 1.0)
