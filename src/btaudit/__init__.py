@@ -9,7 +9,6 @@ every non-robustness verdict is verified by an exact refit.
 from .arena import (
     SCHEMA_PRESETS,
     Arena,
-    DesignRow,
     EloParams,
     IngestError,
     IngestSchema,
@@ -17,7 +16,6 @@ from .arena import (
     Matchup,
     ModelId,
     ModelRegistry,
-    design_row,
     elo_transform,
     ingest,
 )
@@ -27,7 +25,6 @@ from .btmodel import (
     HeadToHead,
     Ranking,
     SolverOptions,
-    Weighting,
     fit,
     head_to_head,
     ranking,
@@ -40,7 +37,6 @@ from .influence import (
     SingularHessianError,
     hessian_factor,
     influence_scores,
-    leverage,
     leverages,
     newton_scores,
     pair_influence,
@@ -72,7 +68,6 @@ __all__ = [
     "Arena",
     "BruteForceResult",
     "BtFit",
-    "DesignRow",
     "DropBudget",
     "EloParams",
     "EnumerationCapError",
@@ -94,11 +89,9 @@ __all__ = [
     "SolverOptions",
     "SynthSpec",
     "TopKReport",
-    "Weighting",
     "brute_force_pair",
     "check_pair",
     "check_topk",
-    "design_row",
     "elo_transform",
     "finite_difference_influence",
     "fit",
@@ -108,7 +101,6 @@ __all__ = [
     "influence_scores",
     "ingest",
     "involvement_composition",
-    "leverage",
     "leverages",
     "min_drop_search",
     "newton_scores",

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "Arena",
-    "DesignRow",
     "EloParams",
     "IngestError",
     "IngestSchema",
@@ -24,7 +23,6 @@ __all__ = [
     "ModelRegistry",
     "PairCells",
     "SCHEMA_PRESETS",
-    "design_row",
     "elo_transform",
     "ingest",
 ]
@@ -102,26 +100,6 @@ class Matchup:
     side_b: ModelId
     a_won: bool
     meta: Mapping[str, str] | None = None
-
-
-@dataclass(frozen=True)
-class DesignRow:
-    """Comparison encoding of a matchup: +1 on one model's coordinate, -1 on the other's."""
-
-    plus: ModelId
-    minus: ModelId
-
-    def as_vector(self, n_models: int, reference: int = 0) -> np.ndarray:
-        """Assemble onto the free coordinates; the reference coordinate is dropped."""
-        v = np.zeros(n_models)
-        v[self.plus.index] += 1.0
-        v[self.minus.index] -= 1.0
-        return np.delete(v, reference)
-
-
-def design_row(matchup: Matchup) -> DesignRow:
-    """The encoding depends only on who played; the outcome lives elsewhere."""
-    return DesignRow(plus=matchup.side_a, minus=matchup.side_b)
 
 
 @dataclass(frozen=True)

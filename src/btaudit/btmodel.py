@@ -23,7 +23,6 @@ __all__ = [
     "HeadToHead",
     "Ranking",
     "SolverOptions",
-    "Weighting",
     "fit",
     "head_to_head",
     "ranking",
@@ -65,55 +64,19 @@ class SolverOptions:
             raise FitError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True)
-class Weighting:
-    """Per-matchup data weights; binary with zeros at dropped indices in audit use."""
-
-    w: np.ndarray
-    dropped_count: int
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
-        if w.ndim != 1:
-            raise FitError("weights must be a 1-d vector")
-        if not np.all(np.isfinite(w)) or w.min(initial=0.0) < 0 or w.max(initial=0.0) > 1:
-            raise FitError("weights must lie in [0, 1]")
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "dropped_count", int(np.count_nonzero(w == 0.0)))
-
-    @classmethod
-    def ones(cls, n: int) -> "Weighting":
-        return cls(np.ones(n), 0)
-
-    @classmethod
-    def drop(cls, n: int, indices: Sequence[int]) -> "Weighting":
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise FitError("drop indices out of range")
-        if np.unique(idx).size != idx.size:
-            raise FitError("drop indices must be unique")
-        w = np.ones(n)
-        w[idx] = 0.0
-        return cls(w, int(idx.size))
-
-
 @dataclass
 class BtFit:
     """A fitted score vector under a data weighting, with solver diagnostics.
 
-    ``scores[0]`` is exactly 0 (the reference). ``fitted_probs[n]`` is the
-    probability that side A of matchup n wins under the fitted scores, stored
-    for every matchup and recomputable bit-stably from ``scores`` with
-    ``sigmoid``. Immutable after construction apart from an internal cache
-    reused by influence computations (one curvature factorization per fit).
+    ``scores[0]`` is exactly 0 (the reference). Immutable after construction
+    apart from an internal cache reused by influence computations (one
+    curvature factorization per fit).
     """
 
     arena: Arena
     options: SolverOptions
     weights: np.ndarray
     scores: np.ndarray
-    fitted_probs: np.ndarray
     converged: bool
     diverged: bool
     iterations: int
@@ -121,33 +84,12 @@ class BtFit:
     unidentified: tuple[int, ...]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def ridge(self) -> float:
-        return self.options.ridge
-
-    @property
-    def n_models(self) -> int:
-        return self.arena.n_models
-
-    @property
-    def n_matchups(self) -> int:
-        return self.arena.n_matchups
-
-    def score_gap(self, a: int | str, b: int | str) -> float:
-        ia = self.arena.models.resolve(a)
-        ib = self.arena.models.resolve(b)
-        return float(self.scores[ia] - self.scores[ib])
-
-
-def _resolve_weights(arena: Arena, weighting) -> np.ndarray:
+def _resolve_weights(arena: Arena, weighting: np.ndarray | None) -> np.ndarray:
     if weighting is None:
         return np.ones(arena.n_matchups)
-    if isinstance(weighting, Weighting):
-        w = weighting.w
-    else:
-        w = np.ascontiguousarray(weighting, dtype=np.float64)
-        if not np.all(np.isfinite(w)) or (w.size and w.min() < 0):
-            raise FitError("weights must be finite and non-negative")
+    w = np.ascontiguousarray(weighting, dtype=np.float64)
+    if not np.all(np.isfinite(w)) or (w.size and w.min() < 0):
+        raise FitError("weights must be finite and non-negative")
     if w.shape != (arena.n_matchups,):
         raise FitError(f"weighting has length {w.shape}, arena has {arena.n_matchups} matchups")
     if not np.any(w > 0):
@@ -297,7 +239,7 @@ def _minimize(cells: PairCells, wins, total, n_models, options: SolverOptions, t
 
 def fit(
     arena: Arena,
-    weighting: Weighting | np.ndarray | None = None,
+    weighting: np.ndarray | None = None,
     options: SolverOptions | None = None,
     warm_start: np.ndarray | None = None,
 ) -> BtFit:
@@ -329,16 +271,12 @@ def fit(
             converged = False
 
     unidentified = tuple(int(k) for k in np.flatnonzero(games == 0))
-    probs = sigmoid(scores[arena.side_a] - scores[arena.side_b])
-
     scores.flags.writeable = False
-    probs.flags.writeable = False
     return BtFit(
         arena=arena,
         options=options,
         weights=w,
         scores=scores,
-        fitted_probs=probs,
         converged=converged,
         diverged=diverged,
         iterations=iterations,
@@ -347,34 +285,30 @@ def fit(
     )
 
 
-def _fit_scores(
-    arena: Arena,
-    w: np.ndarray,
-    options: SolverOptions,
-    warm_start: np.ndarray | None = None,
-) -> np.ndarray:
+def _fit_scores(arena: Arena, w: np.ndarray, options: SolverOptions) -> np.ndarray:
     """Score vector only; skips diagnostics for tight refit loops."""
     wins, losses = arena.cells.class_weights(w)
-    scores, _, _, _ = _minimize(
-        arena.cells, wins, wins + losses, arena.n_models, options, warm_start
-    )
+    scores, _, _, _ = _minimize(arena.cells, wins, wins + losses, arena.n_models, options, None)
     return scores
 
 
-def refit_without(
-    arena: Arena,
-    options: SolverOptions,
-    drop_indices: Sequence[int],
-    warm_start: np.ndarray | None = None,
-) -> BtFit:
+def refit_without(arena: Arena, options: SolverOptions, drop_indices: Sequence[int]) -> BtFit:
     """Refit with the given matchups removed, under the same options as the base fit.
 
-    A model that loses all its remaining matchups is reported in ``unidentified``
-    (the ridge keeps its score near 0); dropping nothing reproduces the full-data
-    fit exactly.
+    A model left with no matchups at all is reported in ``unidentified`` (the
+    ridge keeps its score at 0); a model left with only wins or only losses is
+    not, and the ridge bounds its score. Dropping nothing reproduces the
+    full-data fit exactly.
     """
-    weighting = Weighting.drop(arena.n_matchups, drop_indices)
-    return fit(arena, weighting, options, warm_start=warm_start)
+    idx = np.asarray(list(drop_indices), dtype=np.int64)
+    n = arena.n_matchups
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise FitError("drop indices out of range")
+    if np.unique(idx).size != idx.size:
+        raise FitError("drop indices must be unique")
+    w = np.ones(n)
+    w[idx] = 0.0
+    return fit(arena, w, options)
 
 
 @dataclass(frozen=True)

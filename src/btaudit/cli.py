@@ -23,7 +23,6 @@ from .report import (
     parse_report,
     render_leaderboard,
     render_min_drop_report,
-    render_pair_report,
     render_topk_report,
     topk_pair_rows,
     write_csv,

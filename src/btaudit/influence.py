@@ -20,20 +20,12 @@ __all__ = [
     "SingularHessianError",
     "hessian_factor",
     "influence_scores",
-    "leverage",
     "leverages",
     "newton_scores",
     "pair_influence",
 ]
 
 _SATURATION = 1e-12
-
-# Score conventions. "derivative" is the exact derivative of a fitted score with
-# respect to a matchup's weight and is what finite differences reproduce.
-# "scaled" multiplies each score by the matchup's fitted variance p(1-p). It
-# ranks matchups differently, so it can pick another drop set to refit and with
-# it another verdict; every verdict is still refit-gated.
-_MODES = ("derivative", "scaled")
 
 
 class SingularHessianError(RuntimeError):
@@ -53,7 +45,7 @@ class HessianFactor:
         m = bt.arena.n_models
         wins, losses = cells.class_weights(bt.weights)
         self.probs = sigmoid(bt.scores[cells.lo] - bt.scores[cells.hi])
-        self.matrix = _curvature(cells, wins + losses, self.probs, bt.ridge, m)
+        self.matrix = _curvature(cells, wins + losses, self.probs, bt.options.ridge, m)
         singular = None
         try:
             chol = np.linalg.cholesky(self.matrix)
@@ -95,24 +87,17 @@ def _check_fit(bt: BtFit) -> None:
         raise FitError("influence requires a converged fit")
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
 # Per-class scores. Every matchup of a class (one pair cell, one winner) has the
 # same score, whatever its seat order, so each is computed once per class in
 # O(cells) and gathered to matchups with ``cells.row_class``.
 
-def _class_influence(bt: BtFit, t: int, mode: str) -> np.ndarray:
+def _class_influence(bt: BtFit, t: int) -> np.ndarray:
     fac = hessian_factor(bt)
     cells = bt.arena.cells
     u = fac.inverse()[t]
     p = fac.probs
     # Residuals of the lower-index model's outcome: lost (class 2c), won (class 2c + 1).
     scores = (u[cells.lo] - u[cells.hi])[:, None] * np.stack([-p, 1.0 - p], axis=1)
-    if mode == "scaled":
-        scores = scores * (p * (1.0 - p))[:, None]
     return scores.reshape(-1)
 
 
@@ -124,7 +109,7 @@ def _cell_leverages(bt: BtFit) -> np.ndarray:
     return fac.probs * (1.0 - fac.probs) * (k[lo, lo] + k[hi, hi] - 2.0 * k[lo, hi])
 
 
-def _class_newton(bt: BtFit, t: int, mode: str) -> np.ndarray:
+def _class_newton(bt: BtFit, t: int) -> np.ndarray:
     denom = 1.0 - np.repeat(_cell_leverages(bt), 2)
     saturated = denom <= _SATURATION
     if np.any(saturated):
@@ -135,19 +120,18 @@ def _class_newton(bt: BtFit, t: int, mode: str) -> np.ndarray:
             stacklevel=3,
         )
         denom = np.where(saturated, _SATURATION, denom)
-    return _class_influence(bt, t, mode) / denom
+    return _class_influence(bt, t) / denom
 
 
-def influence_scores(bt: BtFit, target: int | str, mode: str = "derivative") -> np.ndarray:
+def influence_scores(bt: BtFit, target: int | str) -> np.ndarray:
     """Derivative of the target model's fitted score with respect to each matchup weight.
 
     Evaluated at the fitted scores and the fit's weighting. The reference model's
     score is pinned, so its influence vector is identically zero.
     """
     _check_fit(bt)
-    _check_mode(mode)
     t = bt.arena.models.resolve(target)
-    return _class_influence(bt, t, mode)[bt.arena.cells.row_class]
+    return _class_influence(bt, t)[bt.arena.cells.row_class]
 
 
 def leverages(bt: BtFit) -> np.ndarray:
@@ -156,22 +140,15 @@ def leverages(bt: BtFit) -> np.ndarray:
     return _cell_leverages(bt)[bt.arena.cells.row_class >> 1]
 
 
-def leverage(bt: BtFit, n: int) -> float:
-    if not 0 <= n < bt.n_matchups:
-        raise IndexError(f"matchup index {n} out of range")
-    return float(leverages(bt)[n])
-
-
-def newton_scores(bt: BtFit, target: int | str, mode: str = "derivative") -> np.ndarray:
+def newton_scores(bt: BtFit, target: int | str) -> np.ndarray:
     """Influence scores with the one-step Newton correction 1/(1 - leverage).
 
     Matchups at saturated leverage (h >= 1 - 1e-12) are clamped to a large
     sentinel and reported with a warning; the refit step keeps verdicts exact.
     """
     _check_fit(bt)
-    _check_mode(mode)
     t = bt.arena.models.resolve(target)
-    return _class_newton(bt, t, mode)[bt.arena.cells.row_class]
+    return _class_newton(bt, t)[bt.arena.cells.row_class]
 
 
 @dataclass(frozen=True)
@@ -181,19 +158,15 @@ class PairInfluence:
     pair: tuple[int, int]
     scores: np.ndarray
     method: str  # "if" | "newton"
-    mode: str
 
 
-def pair_influence(
-    bt: BtFit, a: int | str, b: int | str, method: str = "if", mode: str = "derivative"
-) -> PairInfluence:
+def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") -> PairInfluence:
     """Elementwise difference of the two models' influence vectors.
 
     Exactly influence(a) - influence(b), so linearity holds bit-for-bit and
     swapping the pair negates the scores.
     """
     _check_fit(bt)
-    _check_mode(mode)
     ia = bt.arena.models.resolve(a)
     ib = bt.arena.models.resolve(b)
     if ia == ib:
@@ -204,7 +177,7 @@ def pair_influence(
         per_target = _class_newton
     else:
         raise ValueError(f"method must be 'if' or 'newton', got {method!r}")
-    per_class = per_target(bt, ia, mode) - per_target(bt, ib, mode)
+    per_class = per_target(bt, ia) - per_target(bt, ib)
     scores = per_class[bt.arena.cells.row_class]
     scores.flags.writeable = False
-    return PairInfluence(pair=(ia, ib), scores=scores, method=method, mode=mode)
+    return PairInfluence(pair=(ia, ib), scores=scores, method=method)

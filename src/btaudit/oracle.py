@@ -15,7 +15,7 @@ import numpy as np
 
 from .arena import Arena
 from .btmodel import BtFit, FitError, SolverOptions, _fit_scores, fit, sigmoid
-from .robustness import reverses
+from .robustness import _canonical_pair, reverses
 
 __all__ = [
     "BruteForceResult",
@@ -136,14 +136,7 @@ def brute_force_pair(
         raise ValueError(f"budget {budget} above the exhaustive-search limit ({_MAX_BRUTE_BUDGET})")
     options = options or SolverOptions()
 
-    base = fit(arena, options=options)
-    ia = arena.models.resolve(a)
-    ib = arena.models.resolve(b)
-    if ia == ib:
-        raise ValueError("a pair needs two distinct models")
-    sa, sb = float(base.scores[ia]), float(base.scores[ib])
-    if sa < sb or (sa == sb and ia > ib):
-        ia, ib = ib, ia
+    ia, ib = _canonical_pair(fit(arena, options=options), a, b)
 
     n = arena.n_matchups
     if budget == 0:

@@ -21,7 +21,6 @@ __all__ = [
     "parse_report",
     "render_leaderboard",
     "render_min_drop_report",
-    "render_pair_report",
     "render_topk_report",
     "write_csv",
 ]
@@ -66,7 +65,7 @@ def _pair_fields(report: RobustnessReport, arena: Arena) -> list[tuple[str, obje
         ("budget", report.budget.label()),
         ("budget_count", report.budget_count),
         ("method", report.method),
-        ("influence_mode", report.mode),
+        ("influence_mode", "derivative"),  # the only convention; kept so reports keep their keys
         ("verdict", report.verdict),
         ("score_before_leader", report.scores_before[0]),
         ("score_before_challenger", report.scores_before[1]),
@@ -114,17 +113,6 @@ def _solver_fields(bt: BtFit) -> list[tuple[str, object]]:
         ("fit_iterations", bt.iterations),
         ("fit_gradient_norm", bt.gradient_norm),
     ]
-
-
-def render_pair_report(report: RobustnessReport, arena: Arena, bt: BtFit, dataset: str = "-") -> str:
-    fields = [
-        ("dataset", dataset),
-        ("n_models", arena.n_models),
-        ("n_matchups", arena.n_matchups),
-    ]
-    fields += _pair_fields(report, arena)
-    fields += _solver_fields(bt)
-    return _render("pair-robustness", fields)
 
 
 def render_topk_report(tk: TopKReport, arena: Arena, bt: BtFit, dataset: str = "-") -> str:

@@ -80,8 +80,9 @@ class RobustnessReport:
     ``pair`` is normalized so the first model has the weakly higher full-data
     score (exact ties go to the lower index). ``dropped`` is ordered most
     influential first. The verdict is "non-robust" only when a refit was
-    performed and reversed the ordering beyond rounding; degenerate refits (a
-    pair model lost all its matchups) withhold the verdict.
+    performed and reversed the ordering beyond rounding. Degenerate refits
+    withhold the verdict: those where every matchup of a pair model was
+    dropped, and those that did not converge.
     """
 
     pair: tuple[int, int]
@@ -90,7 +91,6 @@ class RobustnessReport:
     budget: DropBudget
     budget_count: int
     method: str
-    mode: str
     predicted_delta: float
     predicted_flip: bool
     refit_performed: bool
@@ -154,29 +154,24 @@ def _canonical_pair(bt: BtFit, a, b) -> tuple[int, int]:
     return ia, ib
 
 
-def select_drop_set(pi: PairInfluence, budget: DropBudget | int) -> np.ndarray:
+def select_drop_set(pi: PairInfluence, count: int) -> np.ndarray:
     """Indices whose removal is predicted to shrink the pair's score gap the most.
 
     Only flip-helping matchups are eligible, so the result can be shorter than
-    the budget (or empty). Ties in predicted effect go to the lower index.
-    Partial selection keeps the cost at O(N log(budget)).
+    ``count`` (or empty). Ties in predicted effect go to the lower index.
+    One partial sort keeps the cost at O(N + count log(count)).
     """
-    n = pi.scores.size
-    count = budget.resolve(n) if isinstance(budget, DropBudget) else int(budget)
-    # Predicted change in the gap when matchup n alone is dropped.
-    effects = -pi.scores
-    helpful = np.flatnonzero(effects < 0.0)
-    if helpful.size > count:
-        vals = effects[helpful]
-        part = np.argpartition(vals, count - 1)[:count]
-        boundary = vals[part].max()
-        chosen = np.concatenate([
-            helpful[vals < boundary],
-            helpful[vals == boundary][: count - int((vals < boundary).sum())],
-        ])
+    # Dropping matchup n alone is predicted to change the gap by -scores[n], so
+    # the drop set is the ``count`` largest positive scores; kth is the count-th largest.
+    scores = pi.scores
+    n = scores.size
+    kth = np.partition(scores, n - count)[n - count] if count < n else -np.inf
+    if kth > 0.0:
+        above = np.flatnonzero(scores > kth)
+        chosen = np.concatenate([above, np.flatnonzero(scores == kth)[: count - above.size]])
     else:
-        chosen = helpful
-    order = np.lexsort((chosen, effects[chosen]))
+        chosen = np.flatnonzero(scores > 0.0)
+    order = np.lexsort((chosen, -scores[chosen]))
     return chosen[order]
 
 
@@ -189,7 +184,6 @@ def check_pair(
     *,
     method: str = "if",
     always_refit: bool = False,
-    mode: str = "derivative",
 ) -> RobustnessReport:
     """Audit one pair: select a worst-case drop set, predict, and refit to verify.
 
@@ -202,7 +196,7 @@ def check_pair(
     gap = float(bt.scores[ia] - bt.scores[ib])
     count = budget.resolve(arena.n_matchups)
 
-    pi = pair_influence(bt, ia, ib, method=method, mode=mode)
+    pi = pair_influence(bt, ia, ib, method=method)
     dropped = select_drop_set(pi, count)
     predicted_delta = float(-pi.scores[dropped].sum()) if dropped.size else 0.0
     predicted_flip = bool(gap + predicted_delta < 0.0)
@@ -220,7 +214,8 @@ def check_pair(
         scores_after = (float(refit.scores[ia]), float(refit.scores[ib]))
         refit_flip = reverses(*scores_after)
         unidentified = refit.unidentified
-        degenerate = ia in unidentified or ib in unidentified
+        # An unconverged refit's scores are not a minimizer, so its verdict is withheld.
+        degenerate = ia in unidentified or ib in unidentified or not refit.converged
         refit_converged = refit.converged
         refit_iterations = refit.iterations
 
@@ -232,7 +227,6 @@ def check_pair(
         budget=budget,
         budget_count=count,
         method=method,
-        mode=mode,
         predicted_delta=predicted_delta,
         predicted_flip=predicted_flip,
         refit_performed=refit_performed,
@@ -255,7 +249,6 @@ def check_topk(
     *,
     method: str = "if",
     always_refit: bool = False,
-    mode: str = "derivative",
 ) -> TopKReport:
     """Audit the top-k set by checking every (inside, outside) pair, closest first.
 
@@ -274,9 +267,7 @@ def check_topk(
     reports: list[RobustnessReport] = []
     offending: RobustnessReport | None = None
     for _, i, j in order:
-        rep = check_pair(
-            arena, bt, i, j, budget, method=method, always_refit=always_refit, mode=mode
-        )
+        rep = check_pair(arena, bt, i, j, budget, method=method, always_refit=always_refit)
         reports.append(rep)
         if rep.verdict == "non-robust":
             offending = rep
@@ -315,8 +306,6 @@ def min_drop_search(
     *,
     max_budget: int,
     method: str = "if",
-    mode: str = "derivative",
-    strategy: str = "linear",
 ) -> MinDropResult:
     """Smallest drop count whose refit-verified removal flips the pair.
 
@@ -324,8 +313,6 @@ def min_drop_search(
     every step. Whatever a larger budget verifies, some count at or below it is
     returned, so the result is a true minimum over this selection rule.
     """
-    if strategy != "linear":
-        raise ValueError(f"unknown search strategy {strategy!r}")
     if max_budget < 1:
         raise ValueError("max_budget must be at least 1")
     last: RobustnessReport | None = None
@@ -333,8 +320,7 @@ def min_drop_search(
     for count in range(1, min(max_budget, arena.n_matchups - 1) + 1):
         tried += 1
         rep = check_pair(
-            arena, bt, a, b, DropBudget(count=count),
-            method=method, always_refit=True, mode=mode,
+            arena, bt, a, b, DropBudget(count=count), method=method, always_refit=True
         )
         last = rep
         if rep.verdict == "non-robust":

@@ -128,18 +128,17 @@ def test_derivative_check():
                 f"{fd:.3e} (rel {rel:.2e})"
             )
 
-    # Hand-derived symmetric fixture: variance-scaled magnitude 0.125 exactly.
+    # Hand-derived symmetric fixture: curvature 4 * 0.25 = 1, residuals -+0.5.
     arena22 = two_player_arena(2, 2)
     bt22 = fit(arena22, options=RIDGELESS)
-    scaled = influence_scores(bt22, 1, mode="scaled")
-    assert np.all(np.abs(np.abs(scaled) - 0.125) <= 1e-9)
     derivative = influence_scores(bt22, 1)
+    assert np.all(np.abs(derivative - np.array([-0.5, -0.5, 0.5, 0.5])) <= 1e-9)
     fd0 = finite_difference_influence(arena22, bt22, 1, 0)
     assert derivative[0] == pytest.approx(fd0, rel=1e-3)
     _pass(
         "derivative-check",
         f"- {checked} matchups over 50 arenas, worst rel err {worst_rel:.2e}, "
-        f"smallest |fd| {smallest_fd:.2e}; 0.125 fixture exact to 1e-9",
+        f"smallest |fd| {smallest_fd:.2e}; 0.5 fixture exact to 1e-9",
     )
 
 

@@ -11,7 +11,6 @@ from btaudit import (
     EloParams,
     IngestError,
     IngestSchema,
-    design_row,
     elo_transform,
     ingest,
 )
@@ -151,21 +150,6 @@ def test_arena_rejects_self_matches_and_bad_outcomes():
         Arena.from_records(["a", "b"], [(0, 0, 1)])
     with pytest.raises(IngestError, match="0 or 1"):
         Arena.from_records(["a", "b"], [(0, 1, 2)])
-
-
-def test_design_row_structure(arena_3_1):
-    m = arena_3_1.matchup(3)  # the loss for side A
-    row = design_row(m)
-    assert row.plus == m.side_a and row.minus == m.side_b  # outcome lives in a_won
-
-    vec = row.as_vector(n_models=2, reference=0)
-    assert vec.shape == (1,)
-    assert vec[0] == -1.0  # reference column dropped
-
-    arena = Arena.from_records(["r", "x", "y"], [(1, 2, 1)])
-    vec3 = design_row(arena.matchup(0)).as_vector(3)
-    assert np.abs(vec3).sum() <= 2
-    assert vec3.sum() == 0.0  # reference model not involved
 
 
 def test_elo_defaults_and_anchor():

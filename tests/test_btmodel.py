@@ -7,7 +7,6 @@ from btaudit import (
     Arena,
     FitError,
     SolverOptions,
-    Weighting,
     fit,
     generate,
     head_to_head,
@@ -23,7 +22,7 @@ def test_symmetric_record_gives_equal_scores(arena_2_2):
     bt = fit(arena_2_2, options=RIDGELESS)
     assert bt.converged
     assert bt.scores[0] == 0.0 and bt.scores[1] == 0.0
-    assert np.all(bt.fitted_probs == 0.5)
+    assert np.all(sigmoid(bt.scores[arena_2_2.side_a] - bt.scores[arena_2_2.side_b]) == 0.5)
 
 
 def test_three_one_record_matches_scalar_minimizer(arena_3_1):
@@ -37,7 +36,7 @@ def test_three_one_record_matches_scalar_minimizer(arena_3_1):
     assert bt.scores[1] == pytest.approx(oracle.x, abs=1e-7)
     assert bt.scores[1] == pytest.approx(-np.log(3.0), abs=1e-8)
     # fitted win probability for the leader is the empirical 3/4
-    assert bt.fitted_probs[0] == pytest.approx(0.75, abs=1e-9)
+    assert sigmoid(bt.scores[0] - bt.scores[1]) == pytest.approx(0.75, abs=1e-9)
 
 
 def test_perfect_separation_flags_divergence():
@@ -59,17 +58,20 @@ def test_gradient_at_optimum_invariant():
     # The per-row gradient is the reference the pair-cell solver is checked against.
     arena = generate(round_robin_spec(3, n_models=4))
     n = arena.n_matchups
-    weightings = [None, Weighting.drop(n, [0, 5, 7])]
+    dropped = np.ones(n)
+    dropped[[0, 5, 7]] = 0.0
+    weightings = [np.ones(n), dropped]
     for sign in (+1.0, -1.0):
         w = np.ones(n)
         w[4] = 1.0 + sign * 1e-4
         weightings.append(w)
     for options in (RIDGELESS, SolverOptions()):
-        for weighting in weightings:
-            bt = fit(arena, weighting, options=options)
+        for w in weightings:
+            bt = fit(arena, w, options=options)
             assert bt.converged
             won = arena.a_won.astype(float)
-            resid = bt.weights * (bt.fitted_probs - won)
+            probs = sigmoid(bt.scores[arena.side_a] - bt.scores[arena.side_b])
+            resid = w * (probs - won)
             g = np.bincount(arena.side_a, weights=resid, minlength=4)
             g -= np.bincount(arena.side_b, weights=resid, minlength=4)
             g = g[1:] + options.ridge * bt.scores[1:]
@@ -93,7 +95,8 @@ def test_refit_without_empty_set_is_bitwise_identical():
     full = fit(arena, options=SolverOptions())
     refit = refit_without(arena, SolverOptions(), [])
     assert np.array_equal(full.scores, refit.scores)
-    assert np.array_equal(full.fitted_probs, refit.fitted_probs)
+    assert np.array_equal(full.weights, refit.weights)
+    assert full.iterations == refit.iterations
 
 
 def test_refit_drop_one_win_closed_form(arena_3_1):
@@ -119,16 +122,12 @@ def test_fit_errors():
         fit(arena, np.zeros(4))
     with pytest.raises(FitError, match="length"):
         fit(arena, np.ones(3))
-    with pytest.raises(FitError):
-        Weighting(np.array([0.5, -0.1, 1.0, 1.0]), 0)
-    with pytest.raises(FitError):
-        Weighting.drop(4, [1, 1])
-
-
-def test_weighting_drop_counts():
-    w = Weighting.drop(5, [0, 3])
-    assert w.dropped_count == 2
-    assert list(w.w) == [0.0, 1.0, 1.0, 0.0, 1.0]
+    with pytest.raises(FitError, match="non-negative"):
+        fit(arena, np.array([0.5, -0.1, 1.0, 1.0]))
+    with pytest.raises(FitError, match="unique"):
+        refit_without(arena, SolverOptions(), [1, 1])
+    with pytest.raises(FitError, match="range"):
+        refit_without(arena, SolverOptions(), [4])
 
 
 def test_orientation_invariance():
@@ -164,14 +163,7 @@ def test_shift_invariance_of_probabilities():
     z = shifted[arena.side_a] - shifted[arena.side_b]
     from scipy.special import expit
 
-    assert np.allclose(expit(z), bt.fitted_probs)
-
-
-def test_fitted_probs_recomputable_bit_stably():
-    arena = generate(round_robin_spec(23, n_models=4))
-    bt = fit(arena)
-    recomputed = sigmoid(bt.scores[arena.side_a] - bt.scores[arena.side_b])
-    assert np.array_equal(recomputed, bt.fitted_probs)
+    assert np.allclose(expit(z), sigmoid(bt.scores[arena.side_a] - bt.scores[arena.side_b]))
 
 
 def test_sigmoid_is_stable_in_both_tails():

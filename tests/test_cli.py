@@ -228,3 +228,159 @@ def test_import_needs_numpy_only():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+GOLDEN_CSV = """model_a,model_b,winner,prompt
+alpha,beta,model_a,p0
+beta,alpha,model_b,p1
+alpha,gamma,model_a,p2
+gamma,alpha,model_a,p3
+alpha,delta,model_a,p4
+beta,gamma,model_a,p5
+gamma,beta,model_b,p6
+beta,delta,model_a,p7
+delta,beta,model_a,p8
+gamma,delta,model_a,p9
+delta,gamma,model_b,p10
+alpha,beta,model_b,p11
+gamma,delta,tie,p12
+beta,gamma,model_b,p13
+delta,alpha,model_b,p14
+"""
+
+GOLDEN_TOPK_K1 = """report: topk-robustness
+dataset: games.csv
+n_models: 4
+n_matchups: 14
+k: 1
+budget: count=1
+budget_count: 1
+verdict: robust
+pairs_checked: 3
+pairs_total: 3
+degenerate_pairs: -
+solver_ridge: 1e-06
+solver_tol: 1e-08
+fit_converged: true
+fit_iterations: 5
+fit_gradient_norm: 3.57928594939e-16"""
+
+GOLDEN_TOPK_K1_PAIRS = """leader,challenger,gap_before,verdict,predicted_flip,refit_performed,dropped_count
+alpha,gamma,0.514422220535,robust,false,false,1
+alpha,beta,0.664370263756,robust,false,false,1
+alpha,delta,2.0288564945,robust,false,false,1
+"""
+
+GOLDEN_TOPK_K2 = """report: topk-robustness
+dataset: games.csv
+n_models: 4
+n_matchups: 14
+k: 2
+budget: count=1
+budget_count: 1
+verdict: non-robust
+pairs_checked: 1
+pairs_total: 4
+offending_pair: gamma vs beta
+offending_indices: 2 1
+scatter_gap: 0.149948043221
+scatter_dropped_fraction: 0.0714285714286
+pair: gamma vs beta
+pair_indices: 2 1
+budget: count=1
+budget_count: 1
+method: if
+influence_mode: derivative
+verdict: non-robust
+score_before_leader: -0.514422220535
+score_before_challenger: -0.664370263756
+gap_before: 0.149948043221
+predicted_delta: -0.392965259902
+predicted_flip: true
+refit_performed: true
+refit_flip: True
+score_after_leader: -0.810701655492
+score_after_challenger: -0.460849098789
+gap_after: -0.349852556702
+dropped_count: 1
+dropped_fraction: 0.0714285714286
+dropped_indices: 12
+involvement_both: 1
+involvement_one: 0
+involvement_neither: 0
+head_to_head: 1-2
+win_percent_leader: 33.3333333333
+degenerate: false
+refit_unidentified: -
+refit_converged: true
+refit_iterations: 5
+degenerate_pairs: -
+solver_ridge: 1e-06
+solver_tol: 1e-08
+fit_converged: true
+fit_iterations: 5
+fit_gradient_norm: 3.57928594939e-16"""
+
+GOLDEN_TOPK_K2_PAIRS = """leader,challenger,gap_before,verdict,predicted_flip,refit_performed,dropped_count
+gamma,beta,0.149948043221,non-robust,true,true,1
+"""
+
+GOLDEN_MINDROP = """report: min-drop
+dataset: games.csv
+n_models: 4
+n_matchups: 14
+found: true
+min_drop_count: 2
+budgets_tried: 2
+max_budget: 5
+pair: alpha vs beta
+pair_indices: 0 1
+budget: count=2
+budget_count: 2
+method: if
+influence_mode: derivative
+verdict: non-robust
+score_before_leader: 0
+score_before_challenger: -0.664370263756
+gap_before: 0.664370263756
+predicted_delta: -0.62548342055
+predicted_flip: false
+refit_performed: true
+refit_flip: True
+score_after_leader: 0
+score_after_challenger: 0.34432224296
+gap_after: -0.34432224296
+dropped_count: 2
+dropped_fraction: 0.142857142857
+dropped_indices: 0 1
+involvement_both: 1
+involvement_one: 0
+involvement_neither: 0
+head_to_head: 2-1
+win_percent_leader: 66.6666666667
+degenerate: false
+refit_unidentified: -
+refit_converged: true
+refit_iterations: 4
+solver_ridge: 1e-06
+solver_tol: 1e-08
+fit_converged: true
+fit_iterations: 5
+fit_gradient_norm: 3.57928594939e-16"""
+
+
+def test_reports_match_golden_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "games.csv").write_text(GOLDEN_CSV, encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
+    common = ["--schema", "schema.json", "--out", "out"]
+    assert main(["check-topk", "games.csv", "--k", "1", "--k", "2", "--count", "1", *common]) == 2
+    assert main(["min-drop", "games.csv", "alpha", "beta", "--max-budget", "5", *common]) == 2
+
+    out = tmp_path / "out"
+    assert _strip_timestamp((out / "topk_k1_count1.txt").read_text()) == GOLDEN_TOPK_K1
+    assert _strip_timestamp((out / "topk_k2_count1.txt").read_text()) == GOLDEN_TOPK_K2
+    assert _strip_timestamp((out / "mindrop_alpha_vs_beta.txt").read_text()) == GOLDEN_MINDROP
+    for name, golden in (("topk_k1_count1_pairs.csv", GOLDEN_TOPK_K1_PAIRS),
+                         ("topk_k2_count1_pairs.csv", GOLDEN_TOPK_K2_PAIRS)):
+        assert (out / name).read_bytes() == golden.replace("\n", "\r\n").encode()

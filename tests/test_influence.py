@@ -13,7 +13,6 @@ from btaudit import (
     generate,
     hessian_factor,
     influence_scores,
-    leverage,
     leverages,
     newton_scores,
     pair_influence,
@@ -22,6 +21,7 @@ from btaudit import (
     refit_without,
     select_drop_set,
 )
+from btaudit.btmodel import sigmoid
 from conftest import RIDGELESS, round_robin_spec, two_player_arena
 
 
@@ -34,9 +34,6 @@ def test_hand_derived_symmetric_fixture(fit_2_2):
     # Curvature is 4 * 0.25 = 1; residuals are +-0.5.
     derivative = influence_scores(fit_2_2, 1)
     assert np.allclose(derivative, [-0.5, -0.5, 0.5, 0.5], atol=1e-12)
-    scaled = influence_scores(fit_2_2, 1, mode="scaled")
-    assert np.allclose(np.abs(scaled), 0.125, atol=1e-9)
-    assert np.array_equal(np.sign(scaled), np.sign(derivative))
 
 
 def test_derivative_mode_matches_finite_difference(fit_2_2, arena_2_2):
@@ -58,7 +55,7 @@ def test_zero_residual_means_zero_score():
     arena = two_player_arena(2, 2)
     bt = fit(arena, options=RIDGELESS)
     scores = influence_scores(bt, 1)
-    resid = arena.a_won - bt.fitted_probs
+    resid = arena.a_won - sigmoid(bt.scores[arena.side_a] - bt.scores[arena.side_b])
     assert np.all((resid == 0) <= (scores == 0))
 
 
@@ -94,8 +91,8 @@ def test_pair_influence_linearity_and_antisymmetry():
 
 
 def test_pair_influence_with_reference_endpoint(fit_2_2):
-    pi = pair_influence(fit_2_2, 0, 1, mode="scaled")
-    assert np.allclose(pi.scores, [0.125, 0.125, -0.125, -0.125], atol=1e-12)
+    pi = pair_influence(fit_2_2, 0, 1)
+    assert np.allclose(pi.scores, [0.5, 0.5, -0.5, -0.5], atol=1e-12)
     with pytest.raises(ValueError, match="distinct"):
         pair_influence(fit_2_2, 1, 1)
 
@@ -131,9 +128,6 @@ def test_duplicate_matchups_share_leverage():
     bt = fit(arena)
     h = leverages(bt)
     assert h[0] == h[1]
-    assert leverage(bt, 0) == h[0]
-    with pytest.raises(IndexError):
-        leverage(bt, 99)
 
 
 def test_large_ridge_shrinks_leverage():
@@ -196,8 +190,6 @@ def test_finite_difference_epsilon_validation(fit_2_2, arena_2_2):
 
 
 def test_bad_mode_and_method_rejected(fit_2_2):
-    with pytest.raises(ValueError, match="mode"):
-        influence_scores(fit_2_2, 1, mode="banana")
     with pytest.raises(ValueError, match="method"):
         pair_influence(fit_2_2, 0, 1, method="banana")
 

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from btaudit import (
     Arena,
@@ -42,23 +45,34 @@ def test_drop_budget_resolution():
 
 
 def test_select_drop_set_empty_when_nothing_helps():
-    pi = PairInfluence(pair=(0, 1), scores=np.array([-1.0, -2.0, -0.5]),
-                       method="if", mode="derivative")
+    pi = PairInfluence(pair=(0, 1), scores=np.array([-1.0, -2.0, -0.5]), method="if")
     assert select_drop_set(pi, 2).size == 0
 
 
 def test_select_drop_set_orders_most_helpful_first():
-    pi = PairInfluence(pair=(0, 1), scores=np.array([0.1, 3.0, -1.0, 2.0]),
-                       method="if", mode="derivative")
+    pi = PairInfluence(pair=(0, 1), scores=np.array([0.1, 3.0, -1.0, 2.0]), method="if")
     chosen = select_drop_set(pi, 3)
     assert list(chosen) == [1, 3, 0]
 
 
 def test_select_drop_set_breaks_ties_by_lower_index():
     scores = np.array([1.0, 2.0, 2.0, 2.0, 0.5])
-    pi = PairInfluence(pair=(0, 1), scores=scores, method="if", mode="derivative")
+    pi = PairInfluence(pair=(0, 1), scores=scores, method="if")
     assert list(select_drop_set(pi, 2)) == [1, 2]
     assert list(select_drop_set(pi, 3)) == [1, 2, 3]
+
+
+@given(
+    scores=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 2.0]) | st.floats(-3, 3),
+                    min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_select_drop_set_matches_sorted_reference(scores, data):
+    # Reference: every positive score, largest first, ties to the lower index.
+    count = data.draw(st.integers(1, len(scores) + 2))
+    pi = PairInfluence(pair=(0, 1), scores=np.array(scores), method="if")
+    expected = sorted((-s, n) for n, s in enumerate(scores) if s > 0.0)[:count]
+    assert list(select_drop_set(pi, count)) == [n for _, n in expected]
 
 
 def test_select_single_drop_on_lopsided_arena(arena_3_1):
@@ -150,6 +164,31 @@ def test_degenerate_refit_withholds_verdict():
     assert 2 in rep.refit_unidentified
 
 
+def test_unconverged_refit_withholds_verdict(arena_3_1, monkeypatch):
+    # The same refits, reported as stopped short of their tolerance: their
+    # scores still flip the pair, but no verdict may rest on them.
+    bt = fit(arena_3_1)
+    assert check_pair(arena_3_1, bt, 0, 1, DropBudget(count=3),
+                      always_refit=True).verdict == "non-robust"
+
+    def unconverged(arena, options, drop_indices):
+        return dataclasses.replace(refit_without(arena, options, drop_indices), converged=False)
+
+    monkeypatch.setattr(robustness_mod, "refit_without", unconverged)
+    rep = check_pair(arena_3_1, bt, 0, 1, DropBudget(count=3), always_refit=True)
+    assert rep.refit_performed and rep.refit_flip and rep.refit_converged is False
+    assert rep.degenerate and rep.verdict == "degenerate"
+
+    tk = check_topk(arena_3_1, bt, 1, DropBudget(count=3), always_refit=True)
+    assert tk.robust and tk.offending_pair is None and tk.dropped == ()
+    assert tk.degenerate_pairs == ((0, 1),)
+
+    result = min_drop_search(arena_3_1, bt, 0, 1, max_budget=3)
+    assert not result.found and result.count is None
+    assert result.budgets_tried == 3
+    assert result.report.verdict == "degenerate"
+
+
 def test_budget_cap_respected():
     spec = random_spec(77, n_models=4, target_matchups=24)
     arena = generate(spec)
@@ -210,8 +249,6 @@ def test_min_drop_not_found_marker():
     assert not result.found
     assert result.count is None
     assert result.report is not None and result.report.verdict == "robust"
-    with pytest.raises(ValueError, match="strategy"):
-        min_drop_search(arena, bt, 0, 1, max_budget=1, strategy="bisect")
 
 
 def test_min_drop_monotone_against_verified_flips():
