@@ -137,6 +137,26 @@ class PairCells:
         cw = np.bincount(self.row_class, weights=w, minlength=2 * self.n_cells)
         return cw[1::2], cw[0::2]
 
+    @cached_property
+    def class_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, start, size)``: class k's matchups are ``rows[start[k]:start[k] + size[k]]``.
+
+        Ascending within each class; built with one stable argsort on first use.
+        """
+        size = np.bincount(self.row_class, minlength=2 * self.n_cells)
+        rows = np.argsort(self.row_class, kind="stable")
+        start = np.cumsum(size) - size
+        for arr in (rows, start, size):
+            arr.flags.writeable = False
+        return rows, start, size
+
+    def first_rows(self, classes: np.ndarray, limit: np.ndarray) -> np.ndarray:
+        """The ``limit[i]`` lowest-index matchups of class ``classes[i]``, class after class."""
+        rows, start, size = self.class_index
+        take = np.minimum(size[classes], limit)
+        offsets = np.repeat(start[classes] - (np.cumsum(take) - take), take)
+        return rows[offsets + np.arange(offsets.size)]
+
 
 @dataclass(frozen=True)
 class Arena:

@@ -2,7 +2,8 @@
 
 All computations share one checked inverse of the fit's curvature matrix,
 cached on the fit and read-only, so they are safe to run concurrently. Scores
-are computed once per (pair cell, winner) class and gathered to matchups.
+are computed once per (pair cell, winner) class; the public per-matchup
+functions gather them to matchups, and the audit path keeps them per class.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arena import PairCells
 from .btmodel import BtFit, FitError, _curvature, sigmoid
 
 __all__ = [
@@ -37,7 +39,8 @@ class HessianFactor:
 
     Assembled by the solver's own curvature routine from the fit's pair cells,
     at the fitted scores; ``probs[c]`` is the fitted probability that cell c's
-    lower-index model wins.
+    lower-index model wins. The per-cell residuals and leverages and the
+    per-class one-step Newton denominators are computed here, once per fit.
     """
 
     def __init__(self, bt: BtFit):
@@ -67,6 +70,19 @@ class HessianFactor:
         k[1:, 1:] = chol_inv.T @ chol_inv
         k.flags.writeable = False
         self._inverse = k
+        # Residuals of the lower-index model's outcome: lost (class 2c), won (class 2c + 1).
+        self.residuals = np.stack([-self.probs, 1.0 - self.probs], axis=1)
+        lo, hi = cells.lo, cells.hi
+        self.leverages = (
+            self.probs * (1.0 - self.probs) * (k[lo, lo] + k[hi, hi] - 2.0 * k[lo, hi])
+        )
+        # One-step Newton denominators 1 - h per class, clamped where h saturates.
+        denom = 1.0 - np.repeat(self.leverages, 2)
+        saturated = denom <= _SATURATION
+        self.newton_denominators = np.where(saturated, _SATURATION, denom)
+        self.saturated_rows = (
+            int(np.count_nonzero(saturated[cells.row_class])) if saturated.any() else 0
+        )
 
     def inverse(self) -> np.ndarray:
         """Embedded inverse with zero reference row and column."""
@@ -95,32 +111,18 @@ def _class_influence(bt: BtFit, t: int) -> np.ndarray:
     fac = hessian_factor(bt)
     cells = bt.arena.cells
     u = fac.inverse()[t]
-    p = fac.probs
-    # Residuals of the lower-index model's outcome: lost (class 2c), won (class 2c + 1).
-    scores = (u[cells.lo] - u[cells.hi])[:, None] * np.stack([-p, 1.0 - p], axis=1)
-    return scores.reshape(-1)
-
-
-def _cell_leverages(bt: BtFit) -> np.ndarray:
-    fac = hessian_factor(bt)
-    cells = bt.arena.cells
-    k = fac.inverse()
-    lo, hi = cells.lo, cells.hi
-    return fac.probs * (1.0 - fac.probs) * (k[lo, lo] + k[hi, hi] - 2.0 * k[lo, hi])
+    return ((u[cells.lo] - u[cells.hi])[:, None] * fac.residuals).reshape(-1)
 
 
 def _class_newton(bt: BtFit, t: int) -> np.ndarray:
-    denom = 1.0 - np.repeat(_cell_leverages(bt), 2)
-    saturated = denom <= _SATURATION
-    if np.any(saturated):
-        rows = int(np.count_nonzero(saturated[bt.arena.cells.row_class]))
+    fac = hessian_factor(bt)
+    if fac.saturated_rows:
         warnings.warn(
-            f"{rows} matchup(s) at saturated leverage; scores clamped to a sentinel",
+            f"{fac.saturated_rows} matchup(s) at saturated leverage; scores clamped to a sentinel",
             RuntimeWarning,
             stacklevel=3,
         )
-        denom = np.where(saturated, _SATURATION, denom)
-    return _class_influence(bt, t) / denom
+    return _class_influence(bt, t) / fac.newton_denominators
 
 
 def influence_scores(bt: BtFit, target: int | str) -> np.ndarray:
@@ -137,7 +139,7 @@ def influence_scores(bt: BtFit, target: int | str) -> np.ndarray:
 def leverages(bt: BtFit) -> np.ndarray:
     """Weighted hat-matrix diagonal: p(1-p) * x' H^-1 x per matchup."""
     _check_fit(bt)
-    return _cell_leverages(bt)[bt.arena.cells.row_class >> 1]
+    return hessian_factor(bt).leverages[bt.arena.cells.row_class >> 1]
 
 
 def newton_scores(bt: BtFit, target: int | str) -> np.ndarray:
@@ -153,15 +155,27 @@ def newton_scores(bt: BtFit, target: int | str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairInfluence:
-    """Per-matchup effect of a weight change on the difference of two fitted scores."""
+    """Effect of a weight change on the difference of two fitted scores.
+
+    ``class_scores[k]`` is the score of every matchup in (pair cell, winner)
+    class k of ``cells``; ``scores`` gathers it to matchups.
+    """
 
     pair: tuple[int, int]
-    scores: np.ndarray
+    cells: PairCells
+    class_scores: np.ndarray
     method: str  # "if" | "newton"
+
+    @property
+    def scores(self) -> np.ndarray:
+        """Per-matchup scores, ``class_scores[cells.row_class]``."""
+        scores = self.class_scores[self.cells.row_class]
+        scores.flags.writeable = False
+        return scores
 
 
 def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") -> PairInfluence:
-    """Elementwise difference of the two models' influence vectors.
+    """Classwise difference of the two models' influence vectors.
 
     Exactly influence(a) - influence(b), so linearity holds bit-for-bit and
     swapping the pair negates the scores.
@@ -177,7 +191,8 @@ def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") ->
         per_target = _class_newton
     else:
         raise ValueError(f"method must be 'if' or 'newton', got {method!r}")
-    per_class = per_target(bt, ia) - per_target(bt, ib)
-    scores = per_class[bt.arena.cells.row_class]
-    scores.flags.writeable = False
-    return PairInfluence(pair=(ia, ib), scores=scores, method=method)
+    class_scores = per_target(bt, ia) - per_target(bt, ib)
+    class_scores.flags.writeable = False
+    return PairInfluence(
+        pair=(ia, ib), cells=bt.arena.cells, class_scores=class_scores, method=method
+    )

@@ -39,7 +39,7 @@ _TIE_TOLERANCE = 8.0 * np.finfo(np.float64).eps
 def reverses(leader_after: float, challenger_after: float) -> bool:
     """True when a refit puts the challenger above the leader by more than rounding."""
     scale = max(1.0, abs(leader_after), abs(challenger_after))
-    return leader_after - challenger_after < -_TIE_TOLERANCE * scale
+    return bool(leader_after - challenger_after < -_TIE_TOLERANCE * scale)
 
 
 @dataclass(frozen=True)
@@ -159,20 +159,30 @@ def select_drop_set(pi: PairInfluence, count: int) -> np.ndarray:
 
     Only flip-helping matchups are eligible, so the result can be shorter than
     ``count`` (or empty). Ties in predicted effect go to the lower index.
-    One partial sort keeps the cost at O(N + count log(count)).
+    Selection runs on the pair's (cell, winner) classes, whose matchups share
+    one score, and gathers only the matchups it can choose: O(cells +
+    count log(count)), plus at most ``count`` rows per extra class tied at the cut.
     """
     # Dropping matchup n alone is predicted to change the gap by -scores[n], so
-    # the drop set is the ``count`` largest positive scores; kth is the count-th largest.
-    scores = pi.scores
-    n = scores.size
-    kth = np.partition(scores, n - count)[n - count] if count < n else -np.inf
-    if kth > 0.0:
-        above = np.flatnonzero(scores > kth)
-        chosen = np.concatenate([above, np.flatnonzero(scores == kth)[: count - above.size]])
-    else:
-        chosen = np.flatnonzero(scores > 0.0)
-    order = np.lexsort((chosen, -scores[chosen]))
-    return chosen[order]
+    # the drop set is the ``count`` largest positive scores, ordered by (-score, index).
+    scores = pi.class_scores
+    cells = pi.cells
+    _, _, size = cells.class_index
+    helping = np.flatnonzero((scores > 0.0) & (size > 0))
+    top = scores[helping]
+    if helping.size > count:
+        # Each class holds a matchup, so a class below the count-th largest
+        # class score holds none of the count largest matchup scores.
+        keep = top >= np.partition(top, helping.size - count)[helping.size - count]
+        helping, top = helping[keep], top[keep]
+    by = np.argsort(-top)
+    helping, neg = helping[by], -top[by]
+    # A class gives at most ``count`` minus the matchups of strictly higher
+    # classes: all of them above the cut, its lowest indices at it, none below.
+    higher = np.concatenate(([0], np.cumsum(size[helping])))[np.searchsorted(neg, neg)]
+    chosen = cells.first_rows(helping, np.maximum(count - higher, 0))
+    order = np.lexsort((chosen, -scores[cells.row_class[chosen]]))
+    return chosen[order[:count]]
 
 
 def check_pair(
@@ -198,7 +208,9 @@ def check_pair(
 
     pi = pair_influence(bt, ia, ib, method=method)
     dropped = select_drop_set(pi, count)
-    predicted_delta = float(-pi.scores[dropped].sum()) if dropped.size else 0.0
+    predicted_delta = (
+        float(-pi.class_scores[pi.cells.row_class[dropped]].sum()) if dropped.size else 0.0
+    )
     predicted_flip = bool(gap + predicted_delta < 0.0)
 
     refit_performed = False

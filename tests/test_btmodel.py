@@ -10,6 +10,7 @@ from btaudit import (
     fit,
     generate,
     head_to_head,
+    random_spec,
     ranking,
     refit_without,
     top_k_set,
@@ -88,6 +89,17 @@ def test_large_total_weight_converges_to_the_same_scores():
     assert base.converged and heavy.converged
     assert np.allclose(heavy.scores, base.scores, rtol=0, atol=1e-9)
     assert fit(arena, np.full(arena.n_matchups, 1e6)).converged  # default ridge
+
+
+def test_ranking_invariant_to_weight_scale():
+    # Scaling every weight by one constant must leave the fitted order unchanged
+    # at any scale; this guards the solver's scale-relative switch to raw Newton.
+    for seed in range(40):
+        arena = generate(random_spec(seed, target_matchups=30))
+        fits = {c: fit(arena, np.full(arena.n_matchups, c)) for c in (1.0, 1e3, 1e6)}
+        for c, bt in fits.items():
+            assert bt.converged, (seed, c)
+            assert ranking(bt).order == ranking(fits[1.0]).order, (seed, c)
 
 
 def test_refit_without_empty_set_is_bitwise_identical():

@@ -298,7 +298,7 @@ gap_before: 0.149948043221
 predicted_delta: -0.392965259902
 predicted_flip: true
 refit_performed: true
-refit_flip: True
+refit_flip: true
 score_after_leader: -0.810701655492
 score_after_challenger: -0.460849098789
 gap_after: -0.349852556702
@@ -346,7 +346,7 @@ gap_before: 0.664370263756
 predicted_delta: -0.62548342055
 predicted_flip: false
 refit_performed: true
-refit_flip: True
+refit_flip: true
 score_after_leader: 0
 score_after_challenger: 0.34432224296
 gap_after: -0.34432224296

@@ -216,3 +216,58 @@ def test_seat_order_twins_tie_bit_for_bit():
             if chosen.size:
                 assert chosen[0] < n
         assert np.array_equal(leverages(bt)[:n], leverages(bt)[n:])
+
+
+def test_pair_influence_scores_gather_class_scores():
+    arena = generate(random_spec(5, n_models=4, target_matchups=30))
+    bt = fit(arena)
+    for method in ("if", "newton"):
+        pi = pair_influence(bt, 1, 2, method=method)
+        assert pi.class_scores.size == 2 * arena.cells.n_cells
+        assert np.array_equal(pi.scores, pi.class_scores[arena.cells.row_class])
+        assert not pi.scores.flags.writeable
+
+
+def test_cached_newton_denominators_match_the_uncached_formula():
+    # The factor caches the leverages and the one-step Newton denominators
+    # once per fit; every Newton score must equal the formula evaluated afresh.
+    for seed in range(10):
+        arena = generate(random_spec(seed, n_models=4, target_matchups=30))
+        bt = fit(arena)
+        cells = arena.cells
+        lo, hi = cells.lo, cells.hi
+        k = hessian_factor(bt).inverse()
+        p = sigmoid(bt.scores[lo] - bt.scores[hi])
+        h = p * (1.0 - p) * (k[lo, lo] + k[hi, hi] - 2.0 * k[lo, hi])
+        denom = 1.0 - np.repeat(h, 2)
+        assert np.all(denom > 1e-12)
+        resid = np.stack([-p, 1.0 - p], axis=1)
+
+        def newton(t):
+            u = k[t]
+            return ((u[lo] - u[hi])[:, None] * resid).reshape(-1) / denom
+
+        assert np.array_equal(leverages(bt), h[cells.row_class >> 1])
+        for t in range(arena.n_models):
+            assert np.array_equal(newton_scores(bt, t), newton(t)[cells.row_class])
+        for _ in range(2):  # the second call reads the cache
+            pi = pair_influence(bt, 1, 3, method="newton")
+            assert np.array_equal(pi.class_scores, newton(1) - newton(3))
+
+
+def test_saturated_leverage_warns_once_per_call_and_clamps(monkeypatch):
+    # Raise the saturation threshold so that ordinary matchups count as
+    # saturated; the factor counts them once, and every Newton call warns.
+    import btaudit.influence as influence_mod
+
+    arena = generate(random_spec(5, n_models=4, target_matchups=30))
+    room = 1.0 - leverages(fit(arena))
+    threshold = float(np.median(room))
+    monkeypatch.setattr(influence_mod, "_SATURATION", threshold)
+    bt = fit(arena)
+    saturated = int(np.count_nonzero(room <= threshold))
+    assert 0 < saturated < arena.n_matchups
+    expected = influence_scores(bt, 1) / np.where(room <= threshold, threshold, room)
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning, match=f"^{saturated} matchup"):
+            assert np.array_equal(newton_scores(bt, 1), expected)

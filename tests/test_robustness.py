@@ -44,35 +44,64 @@ def test_drop_budget_resolution():
         DropBudget(alpha=1.5)
 
 
+def _classwise(arena, row_scores, empty=10.0):
+    """PairInfluence whose class scores gather to ``row_scores``; empty classes get ``empty``."""
+    cells = arena.cells
+    class_scores = np.full(2 * cells.n_cells, empty)
+    class_scores[cells.row_class] = row_scores
+    assert np.array_equal(class_scores[cells.row_class], row_scores)  # one score per class
+    return PairInfluence(pair=(0, 1), cells=cells, class_scores=class_scores, method="if")
+
+
 def test_select_drop_set_empty_when_nothing_helps():
-    pi = PairInfluence(pair=(0, 1), scores=np.array([-1.0, -2.0, -0.5]), method="if")
+    arena = Arena.from_records(["a", "b", "c"], [(0, 1, 1), (1, 2, 1), (0, 2, 0)])
+    pi = _classwise(arena, [-1.0, -2.0, -0.5])
     assert select_drop_set(pi, 2).size == 0
 
 
 def test_select_drop_set_orders_most_helpful_first():
-    pi = PairInfluence(pair=(0, 1), scores=np.array([0.1, 3.0, -1.0, 2.0]), method="if")
-    chosen = select_drop_set(pi, 3)
-    assert list(chosen) == [1, 3, 0]
+    # Four matchups in four classes; the two empty classes score highest and
+    # must still never be chosen.
+    arena = Arena.from_records(["a", "b", "c"], [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 1, 0)])
+    pi = _classwise(arena, [0.1, 3.0, -1.0, 2.0])
+    assert list(select_drop_set(pi, 3)) == [1, 3, 0]
 
 
 def test_select_drop_set_breaks_ties_by_lower_index():
-    scores = np.array([1.0, 2.0, 2.0, 2.0, 0.5])
-    pi = PairInfluence(pair=(0, 1), scores=scores, method="if")
+    # Matchups 1 and 3 share a class ("a beats c" in both seat orders);
+    # matchup 2 is another class with the same score.
+    arena = Arena.from_records(
+        ["a", "b", "c"], [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 0, 0), (1, 0, 1)]
+    )
+    pi = _classwise(arena, [1.0, 2.0, 2.0, 2.0, 0.5])
+    assert list(select_drop_set(pi, 1)) == [1]
     assert list(select_drop_set(pi, 2)) == [1, 2]
     assert list(select_drop_set(pi, 3)) == [1, 2, 3]
+    assert list(select_drop_set(pi, 4)) == [1, 2, 3, 0]
 
 
-@given(
-    scores=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 2.0]) | st.floats(-3, 3),
-                    min_size=1, max_size=30),
-    data=st.data(),
-)
-def test_select_drop_set_matches_sorted_reference(scores, data):
-    # Reference: every positive score, largest first, ties to the lower index.
-    count = data.draw(st.integers(1, len(scores) + 2))
-    pi = PairInfluence(pair=(0, 1), scores=np.array(scores), method="if")
-    expected = sorted((-s, n) for n, s in enumerate(scores) if s > 0.0)[:count]
-    assert list(select_drop_set(pi, count)) == [n for _, n in expected]
+@given(data=st.data())
+def test_select_drop_set_matches_sorted_reference(data):
+    # Random rows over 3-5 models, so classes hold several rows, and class
+    # scores from a few values, so scores tie across classes. Reference: every
+    # positive row score, largest first, ties to the lower index.
+    m = data.draw(st.integers(3, 5))
+    model = st.integers(0, m - 1)
+    records = data.draw(
+        st.lists(st.tuples(model, model, st.integers(0, 1)).filter(lambda r: r[0] != r[1]),
+                 min_size=1, max_size=30)
+    )
+    arena = Arena.from_records([f"m{k}" for k in range(m)], records)
+    cells = arena.cells
+    value = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 2.0]) | st.floats(-3, 3)
+    class_scores = np.array(
+        data.draw(st.lists(value, min_size=2 * cells.n_cells, max_size=2 * cells.n_cells))
+    )
+    pi = PairInfluence(pair=(0, 1), cells=cells, class_scores=class_scores, method="if")
+    s = class_scores[cells.row_class]
+    positive = sorted((-s[n], n) for n in range(arena.n_matchups) if s[n] > 0.0)
+    for count in range(1, arena.n_matchups + 1):
+        assert list(select_drop_set(pi, count)) == [n for _, n in positive[:count]]
 
 
 def test_select_single_drop_on_lopsided_arena(arena_3_1):
@@ -353,6 +382,7 @@ def test_refit_gap_within_rounding_is_a_tie():
 
 def test_reverses_needs_more_than_rounding():
     eps = np.finfo(float).eps
+    assert type(reverses(1.0, 2.0)) is bool
     assert not reverses(0.3, 0.3)
     assert not reverses(0.3, 0.3 + 4 * eps)
     assert reverses(0.3, 0.3 + 1e-12)
