@@ -150,6 +150,13 @@ class PairCells:
             arr.flags.writeable = False
         return rows, start, size
 
+    @cached_property
+    def occupied(self) -> np.ndarray:
+        """1.0 for each class that holds a matchup, 0.0 for an empty one."""
+        occupied = (self.class_index[2] > 0).astype(np.float64)
+        occupied.flags.writeable = False
+        return occupied
+
     def first_rows(self, classes: np.ndarray, limit: np.ndarray) -> np.ndarray:
         """The ``limit[i]`` lowest-index matchups of class ``classes[i]``, class after class."""
         rows, start, size = self.class_index

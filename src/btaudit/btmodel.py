@@ -70,7 +70,12 @@ class BtFit:
 
     ``scores[0]`` is exactly 0 (the reference). Immutable after construction
     apart from an internal cache reused by influence computations (one
-    curvature factorization per fit).
+    curvature factorization per fit). ``stop_reason`` says why the solver
+    stopped: ``"tol"`` (the gradient tolerance was met), ``"max_iter"``,
+    ``"line_search_floor"`` (no step decreased the objective) or
+    ``"divergence"`` (scores drifted past the bound with no ridge). A fit
+    stopped at ``"tol"`` can still carry ``converged=False`` when ridge = 0 and
+    some model's record is all wins or all losses.
     """
 
     arena: Arena
@@ -82,6 +87,7 @@ class BtFit:
     iterations: int
     gradient_norm: float
     unidentified: tuple[int, ...]
+    stop_reason: str
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 def _resolve_weights(arena: Arena, weighting: np.ndarray | None) -> np.ndarray:
@@ -188,7 +194,7 @@ def _armijo_step(theta, d, g, cells: PairCells, wins, total, ridge) -> float | N
 def _minimize(cells: PairCells, wins, total, n_models, options: SolverOptions, theta0):
     """Damped Newton with reference coordinate pinned at 0.
 
-    Returns (theta, converged, iterations, gradient_norm).
+    Returns (theta, stop_reason, iterations, gradient_norm); see ``BtFit``.
     """
     if theta0 is None:
         theta = np.zeros(n_models)
@@ -202,7 +208,6 @@ def _minimize(cells: PairCells, wins, total, n_models, options: SolverOptions, t
             raise FitError("warm start contains non-finite values")
 
     ridge, tol = options.ridge, options.tol
-    converged = False
     iterations = 0
     g, p = _gradient(theta, cells, wins, total, ridge, n_models)
     gnorm = float(np.abs(g).max()) if g.size else 0.0
@@ -212,12 +217,14 @@ def _minimize(cells: PairCells, wins, total, n_models, options: SolverOptions, t
             raise FitError("non-finite values encountered during fitting"
                            " (possible separation with ridge = 0)")
         if gnorm <= tol:
-            converged = True
+            reason = "tol"
             break
         if iterations >= options.max_iter:
+            reason = "max_iter"
             break
         if ridge == 0.0 and float(np.abs(theta).max()) > _DIVERGENCE_BOUND:
-            break  # unbounded drift; reported via the diverged flag
+            reason = "divergence"  # unbounded drift; also reported via the diverged flag
+            break
 
         h = _curvature(cells, total, p, ridge, n_models)
         d = _direction(h, g)
@@ -225,7 +232,8 @@ def _minimize(cells: PairCells, wins, total, n_models, options: SolverOptions, t
         if gnorm > _PURE_NEWTON_GRAD or float(np.abs(d).max()) > 1.0:
             step = _armijo_step(theta, d, g, cells, wins, total, ridge)
             if step is None:
-                break  # numerical floor reached before the gradient tolerance
+                reason = "line_search_floor"  # reached before the gradient tolerance
+                break
         # Otherwise in the quadratic basin: the full Newton step is safe and the
         # objective differences are below float resolution, so skip the search.
         theta = theta.copy()
@@ -234,7 +242,7 @@ def _minimize(cells: PairCells, wins, total, n_models, options: SolverOptions, t
         g, p = _gradient(theta, cells, wins, total, ridge, n_models)
         gnorm = float(np.abs(g).max()) if g.size else 0.0
 
-    return theta, converged, iterations, gnorm
+    return theta, reason, iterations, gnorm
 
 
 def fit(
@@ -256,9 +264,10 @@ def fit(
     wins, losses = cells.class_weights(w)
     total = wins + losses
 
-    scores, converged, iterations, gnorm = _minimize(
+    scores, stop_reason, iterations, gnorm = _minimize(
         cells, wins, total, n_models, options, warm_start
     )
+    converged = stop_reason == "tol"
 
     games = _per_model(cells, total, total, n_models)
     diverged = False
@@ -282,6 +291,7 @@ def fit(
         iterations=iterations,
         gradient_norm=gnorm,
         unidentified=unidentified,
+        stop_reason=stop_reason,
     )
 
 

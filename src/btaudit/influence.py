@@ -1,15 +1,22 @@
 """Per-matchup influence on fitted scores: first-order and leverage-corrected.
 
 All computations share one checked inverse of the fit's curvature matrix,
-cached on the fit and read-only, so they are safe to run concurrently. Scores
-are computed once per (pair cell, winner) class; the public per-matchup
-functions gather them to matchups, and the audit path keeps them per class.
+cached on the fit for its lifetime and read-only after it is built. Scores are
+computed once per (pair cell, winner) class; the public per-matchup functions
+gather them to matchups, and the audit path keeps them per class.
+
+An audit over many pairs (``check_topk``, ``min_drop_search``) runs on a
+private view of the fit from ``_audit_view``: the same fit with a copy of its
+cache that also holds a memo of each model's per-class influence vector. The
+memo is filled as targets are needed and dies with the view when the audit
+returns or raises, so it never grows the fit, and concurrent audits on one fit
+each fill their own. Calls outside an audit compute every vector afresh.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,26 +110,47 @@ def _check_fit(bt: BtFit) -> None:
         raise FitError("influence requires a converged fit")
 
 
+def _audit_view(bt: BtFit) -> BtFit:
+    """The fit with a per-model class influence memo that lives as long as the view.
+
+    The factor is built on ``bt`` itself first, so later calls on the fit reuse it.
+    """
+    if bt.converged:
+        hessian_factor(bt)
+    return replace(bt, _cache={**bt._cache, "class_influence": {}})
+
+
 # Per-class scores. Every matchup of a class (one pair cell, one winner) has the
 # same score, whatever its seat order, so each is computed once per class in
 # O(cells) and gathered to matchups with ``cells.row_class``.
 
 def _class_influence(bt: BtFit, t: int) -> np.ndarray:
+    memo = bt._cache.get("class_influence")
+    if memo is not None and t in memo:
+        return memo[t]
     fac = hessian_factor(bt)
     cells = bt.arena.cells
     u = fac.inverse()[t]
-    return ((u[cells.lo] - u[cells.hi])[:, None] * fac.residuals).reshape(-1)
+    scores = ((u[cells.lo] - u[cells.hi])[:, None] * fac.residuals).reshape(-1)
+    if memo is not None:
+        scores.flags.writeable = False
+        memo[t] = scores
+    return scores
 
 
 def _class_newton(bt: BtFit, t: int) -> np.ndarray:
-    fac = hessian_factor(bt)
-    if fac.saturated_rows:
+    return _class_influence(bt, t) / hessian_factor(bt).newton_denominators
+
+
+def _warn_saturated(bt: BtFit) -> None:
+    """Warn the public caller once per call when the factor clamped saturated leverages."""
+    saturated = hessian_factor(bt).saturated_rows
+    if saturated:
         warnings.warn(
-            f"{fac.saturated_rows} matchup(s) at saturated leverage; scores clamped to a sentinel",
+            f"{saturated} matchup(s) at saturated leverage; scores clamped to a sentinel",
             RuntimeWarning,
             stacklevel=3,
         )
-    return _class_influence(bt, t) / fac.newton_denominators
 
 
 def influence_scores(bt: BtFit, target: int | str) -> np.ndarray:
@@ -150,6 +178,7 @@ def newton_scores(bt: BtFit, target: int | str) -> np.ndarray:
     """
     _check_fit(bt)
     t = bt.arena.models.resolve(target)
+    _warn_saturated(bt)
     return _class_newton(bt, t)[bt.arena.cells.row_class]
 
 
@@ -188,6 +217,7 @@ def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") ->
     if method == "if":
         per_target = _class_influence
     elif method == "newton":
+        _warn_saturated(bt)
         per_target = _class_newton
     else:
         raise ValueError(f"method must be 'if' or 'newton', got {method!r}")

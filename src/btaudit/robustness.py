@@ -15,7 +15,7 @@ import numpy as np
 
 from .arena import Arena
 from .btmodel import BtFit, refit_without, top_k_set
-from .influence import PairInfluence, pair_influence
+from .influence import PairInfluence, _audit_view, pair_influence
 
 __all__ = [
     "DropBudget",
@@ -34,6 +34,9 @@ __all__ = [
 # gradient tolerance far above it, so the gap's sign there is rounding noise,
 # not evidence of a reversal.
 _TIE_TOLERANCE = 8.0 * np.finfo(np.float64).eps
+# Up to this many kept classes, drop-set selection finishes in plain Python,
+# which beats its ~20 small numpy calls there; beyond it the numpy finish wins.
+_FEW_CLASSES = 8
 
 
 def reverses(leader_after: float, challenger_after: float) -> bool:
@@ -160,29 +163,47 @@ def select_drop_set(pi: PairInfluence, count: int) -> np.ndarray:
     Only flip-helping matchups are eligible, so the result can be shorter than
     ``count`` (or empty). Ties in predicted effect go to the lower index.
     Selection runs on the pair's (cell, winner) classes, whose matchups share
-    one score, and gathers only the matchups it can choose: O(cells +
-    count log(count)), plus at most ``count`` rows per extra class tied at the cut.
+    one score: one mask and one partition over the classes keep those at or
+    above the count-th largest helping class score, and only those are ranked
+    and opened. That is O(cells) in numpy plus work on at most ``count`` rows
+    per kept class, never O(N).
     """
     # Dropping matchup n alone is predicted to change the gap by -scores[n], so
     # the drop set is the ``count`` largest positive scores, ordered by (-score, index).
     scores = pi.class_scores
     cells = pi.cells
-    _, _, size = cells.class_index
-    helping = np.flatnonzero((scores > 0.0) & (size > 0))
-    top = scores[helping]
-    if helping.size > count:
-        # Each class holds a matchup, so a class below the count-th largest
-        # class score holds none of the count largest matchup scores.
-        keep = top >= np.partition(top, helping.size - count)[helping.size - count]
-        helping, top = helping[keep], top[keep]
-    by = np.argsort(-top)
-    helping, neg = helping[by], -top[by]
-    # A class gives at most ``count`` minus the matchups of strictly higher
-    # classes: all of them above the cut, its lowest indices at it, none below.
-    higher = np.concatenate(([0], np.cumsum(size[helping])))[np.searchsorted(neg, neg)]
-    chosen = cells.first_rows(helping, np.maximum(count - higher, 0))
-    order = np.lexsort((chosen, -scores[cells.row_class[chosen]]))
-    return chosen[order[:count]]
+    rows, start, size = cells.class_index
+    # Empty classes score 0 here, so only positive entries can help. Each kept
+    # class holds a matchup, so a class below the count-th largest kept class
+    # score holds none of the count largest matchup scores.
+    masked = scores * cells.occupied
+    cut = masked.size - count
+    floor = np.partition(masked, cut)[cut] if cut > 0 else 0.0
+    kept = np.flatnonzero(masked >= floor) if floor > 0.0 else np.flatnonzero(masked > 0.0)
+    if kept.size > _FEW_CLASSES:
+        top = scores[kept]
+        by = np.argsort(-top)
+        kept, neg = kept[by], -top[by]
+        # A class gives at most ``count`` minus the matchups of strictly higher
+        # classes: all of them above the cut, its lowest indices at it, none below.
+        higher = np.concatenate(([0], np.cumsum(size[kept])))[np.searchsorted(neg, neg)]
+        chosen = cells.first_rows(kept, np.maximum(count - higher, 0))
+        order = np.lexsort((chosen, -scores[cells.row_class[chosen]]))
+        return chosen[order[:count]]
+    # The same rule in plain Python, cheaper than numpy calls on a few classes.
+    picked = []
+    higher = seen = 0
+    level = None
+    for neg, k in sorted(zip((-scores[kept]).tolist(), kept.tolist())):
+        if neg != level:
+            level, higher = neg, seen
+            if higher >= count:
+                break
+        first, n = int(start[k]), int(size[k])
+        picked += ((neg, r) for r in rows[first:first + min(n, count - higher)].tolist())
+        seen += n
+    picked.sort()
+    return np.array([r for _, r in picked[:count]], dtype=np.int64)
 
 
 def check_pair(
@@ -268,18 +289,19 @@ def check_topk(
     the first pair checked straddles the k boundary. The audit stops at the
     first verified non-robust pair; otherwise all k(M-k) pairs are examined.
     """
-    inside = sorted(top_k_set(bt, k))
-    outside = [m for m in range(arena.n_models) if m not in set(inside)]
+    inside = top_k_set(bt, k)
+    outside = [m for m in range(arena.n_models) if m not in inside]
     order = sorted(
         ((abs(float(bt.scores[i] - bt.scores[j])), i, j) for i in inside for j in outside)
     )
     pairs_total = len(order)
     count = budget.resolve(arena.n_matchups)
 
+    view = _audit_view(bt)  # each model's influence is computed once per call
     reports: list[RobustnessReport] = []
     offending: RobustnessReport | None = None
     for _, i, j in order:
-        rep = check_pair(arena, bt, i, j, budget, method=method, always_refit=always_refit)
+        rep = check_pair(arena, view, i, j, budget, method=method, always_refit=always_refit)
         reports.append(rep)
         if rep.verdict == "non-robust":
             offending = rep
@@ -329,10 +351,12 @@ def min_drop_search(
         raise ValueError("max_budget must be at least 1")
     last: RobustnessReport | None = None
     tried = 0
-    for count in range(1, min(max_budget, arena.n_matchups - 1) + 1):
+    budgets = range(1, min(max_budget, arena.n_matchups - 1) + 1)
+    view = _audit_view(bt) if budgets else bt  # the pair's influence is computed once
+    for count in budgets:
         tried += 1
         rep = check_pair(
-            arena, bt, a, b, DropBudget(count=count), method=method, always_refit=True
+            arena, view, a, b, DropBudget(count=count), method=method, always_refit=True
         )
         last = rep
         if rep.verdict == "non-robust":

@@ -262,3 +262,34 @@ def test_fit_is_deterministic(seed):
     two = fit(arena)
     assert np.array_equal(one.scores, two.scores)
     assert one.iterations == two.iterations
+
+
+def test_stop_reason_tol():
+    bt = fit(generate(round_robin_spec(3, n_models=4)))
+    assert bt.stop_reason == "tol" and bt.converged
+    assert bt.gradient_norm <= bt.options.tol
+
+
+def test_stop_reason_max_iter(arena_3_1):
+    bt = fit(arena_3_1, options=SolverOptions(max_iter=1))
+    assert bt.stop_reason == "max_iter" and not bt.converged
+    assert bt.iterations == 1
+
+
+def test_stop_reason_divergence():
+    # Separated and ridgeless: with a tolerance the vanishing gradient never
+    # meets, the score drifts past the divergence bound.
+    bt = fit(two_player_arena(3, 0), options=SolverOptions(ridge=0.0, tol=1e-30, max_iter=1000))
+    assert bt.stop_reason == "divergence"
+    assert bt.diverged and not bt.converged
+    assert abs(bt.scores[1]) > 30.0
+
+
+def test_stop_reason_line_search_floor(arena_3_1, monkeypatch):
+    # With no halvings allowed the first damped step has no acceptable length.
+    import btaudit.btmodel as btmodel_mod
+
+    monkeypatch.setattr(btmodel_mod, "_MAX_HALVINGS", 0)
+    bt = fit(arena_3_1)
+    assert bt.stop_reason == "line_search_floor" and not bt.converged
+    assert bt.iterations == 0

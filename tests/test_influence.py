@@ -22,6 +22,7 @@ from btaudit import (
     select_drop_set,
 )
 from btaudit.btmodel import sigmoid
+from btaudit.influence import _audit_view
 from conftest import RIDGELESS, round_robin_spec, two_player_arena
 
 
@@ -271,3 +272,20 @@ def test_saturated_leverage_warns_once_per_call_and_clamps(monkeypatch):
     for _ in range(2):
         with pytest.warns(RuntimeWarning, match=f"^{saturated} matchup"):
             assert np.array_equal(newton_scores(bt, 1), expected)
+
+
+@pytest.mark.parametrize("method", ["if", "newton"])
+def test_pair_influence_is_bit_identical_inside_an_audit(method):
+    # The audit view memoizes each model's class influence; a pair's scores are
+    # the same subtraction either way, so they agree bit for bit, memo hit or not.
+    arena = generate(random_spec(23, n_models=6, target_matchups=80))
+    bt = fit(arena)
+    view = _audit_view(bt)
+    pairs = [(1, 3), (3, 1), (0, 5), (2, 4), (1, 3), (4, 2)]
+    for a, b in pairs:
+        lone = pair_influence(bt, a, b, method=method).class_scores
+        audited = pair_influence(view, a, b, method=method).class_scores
+        assert lone.tobytes() == audited.tobytes()
+    assert sorted(view._cache["class_influence"]) == [0, 1, 2, 3, 4, 5]
+    assert "class_influence" not in bt._cache
+    assert view._cache["hessian_factor"] is bt._cache["hessian_factor"]

@@ -1,4 +1,11 @@
 import dataclasses
+import gc
+import importlib.util
+import sys
+import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +14,7 @@ from hypothesis import given, strategies as st
 from btaudit import (
     Arena,
     DropBudget,
+    ModelRegistry,
     PairInfluence,
     SolverOptions,
     brute_force_pair,
@@ -15,6 +23,7 @@ from btaudit import (
     fit,
     generate,
     involvement_composition,
+    leverages,
     min_drop_search,
     pair_influence,
     random_spec,
@@ -78,6 +87,20 @@ def test_select_drop_set_breaks_ties_by_lower_index():
     assert list(select_drop_set(pi, 2)) == [1, 2]
     assert list(select_drop_set(pi, 3)) == [1, 2, 3]
     assert list(select_drop_set(pi, 4)) == [1, 2, 3, 0]
+
+
+def test_select_drop_set_interleaves_tied_classes_by_index():
+    # 15 cells of 6 models, each class holding 4 rows spread over the arena;
+    # most classes tie, more of them than the plain-Python finish takes, so the
+    # tied rows must be merged by index, not listed class after class.
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    records = [(a, b, 1) for a, b in pairs] * 3 + [(b, a, 0) for a, b in pairs]
+    arena = Arena.from_records([f"m{k}" for k in range(6)], records)
+    row_scores = np.array([2.0 if n % 15 in (3, 11) else 1.0 for n in range(len(records))])
+    pi = _classwise(arena, row_scores)
+    positive = sorted((-row_scores[n], n) for n in range(len(records)))
+    for count in range(1, len(records)):
+        assert list(select_drop_set(pi, count)) == [n for _, n in positive[:count]]
 
 
 @given(data=st.data())
@@ -388,3 +411,158 @@ def test_reverses_needs_more_than_rounding():
     assert reverses(0.3, 0.3 + 1e-12)
     assert not reverses(1e3, 1e3 + 4 * eps * 1e3)  # the tolerance scales with the scores
     assert reverses(-1.0, 1.0)
+
+
+def _bench_inputs():
+    """The benchmark's seeded arena generator, loaded from ``bench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_select_drop_set_matches_sorted_reference_at_scale():
+    # 20k rows over 60 models: thousands of classes, many holding several rows.
+    # Counts 1 and 2 keep a few classes, 30 and 1,000 keep many, so both ways
+    # of finishing the selection are checked against a per-matchup sort.
+    side_a, side_b, a_won = _bench_inputs().big_arena(651, 60, 20_000)
+    arena = Arena(ModelRegistry([f"m{k}" for k in range(60)]), side_a, side_b, a_won)
+    bt = fit(arena)
+    order = ranking(bt).order
+    pairs = [(order[0], order[1]), (order[9], order[10]), (order[0], order[59]), (order[45], order[3])]
+    for method in ("if", "newton"):
+        for a, b in pairs:
+            pi = pair_influence(bt, a, b, method=method)
+            s = pi.scores.tolist()
+            positive = sorted((-s[n], n) for n in range(len(s)) if s[n] > 0.0)
+            for count in (1, 2, 30, 1_000):
+                expected = [n for _, n in positive[:count]]
+                assert select_drop_set(pi, count).tolist() == expected
+
+
+def _watch_audit_views(monkeypatch) -> list:
+    """Record a weak reference to the fit each pair check's influence is computed on."""
+    views = []
+    real = robustness_mod.pair_influence
+
+    def watched(bt, a, b, method="if"):
+        assert "class_influence" in bt._cache  # the audit's memo
+        views.append(weakref.ref(bt))
+        return real(bt, a, b, method=method)
+
+    monkeypatch.setattr(robustness_mod, "pair_influence", watched)
+    return views
+
+
+def _assert_memo_gone(bt, views) -> None:
+    gc.collect()
+    assert views and all(view() is None for view in views)
+    assert "class_influence" not in bt._cache
+
+
+def test_audit_memo_is_gone_after_return(monkeypatch):
+    arena = generate(round_robin_spec(61, n_models=5, games_per_pair=12))
+    bt = fit(arena)
+    views = _watch_audit_views(monkeypatch)
+    tk = check_topk(arena, bt, 2, DropBudget(count=1))
+    assert len(views) == tk.pairs_checked == 6  # every pair, one memo for all
+    _assert_memo_gone(bt, views)
+    views.clear()
+    order = ranking(bt).order
+    min_drop_search(arena, bt, order[0], order[1], max_budget=5)
+    _assert_memo_gone(bt, views)
+
+
+def test_audit_memo_is_gone_after_raise(monkeypatch):
+    arena = generate(random_spec(61, n_models=5, target_matchups=60))
+    bt = fit(arena)
+    views = _watch_audit_views(monkeypatch)
+
+    def broken(arena, options, drop_indices):
+        raise RuntimeError("refit failed")
+
+    monkeypatch.setattr(robustness_mod, "refit_without", broken)
+    with pytest.raises(RuntimeError, match="refit failed"):
+        check_topk(arena, bt, 2, DropBudget(count=2), always_refit=True)
+    _assert_memo_gone(bt, views)
+    views.clear()
+    order = ranking(bt).order
+    with pytest.raises(RuntimeError, match="refit failed"):
+        min_drop_search(arena, bt, order[0], order[1], max_budget=5)
+    _assert_memo_gone(bt, views)
+
+
+def test_concurrent_topk_audits_on_one_fit_match_serial():
+    arena = generate(random_spec(67, n_models=6, target_matchups=120))
+    jobs = [(k, DropBudget(count=c), method)
+            for k in (1, 2, 3) for c in (1, 4) for method in ("if", "newton")]
+    serial_fit = fit(arena)
+    serial = [check_topk(arena, serial_fit, k, b, method=m, always_refit=True) for k, b, m in jobs]
+    shared = fit(arena)  # no factor yet: the threads race to build it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's fill too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(
+                lambda job: check_topk(arena, shared, job[0], job[1], method=job[2],
+                                       always_refit=True),
+                jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    assert "class_influence" not in shared._cache
+
+
+def test_saturated_warning_once_per_newton_pair_influence_in_an_audit(monkeypatch):
+    # As in the influence tests: a raised threshold makes ordinary matchups
+    # count as saturated, so every Newton pair influence warns, memo or not.
+    import btaudit.influence as influence_mod
+
+    arena = generate(random_spec(5, n_models=4, target_matchups=30))
+    room = 1.0 - leverages(fit(arena))
+    monkeypatch.setattr(influence_mod, "_SATURATION", float(np.median(room)))
+    bt = fit(arena)
+    calls = []
+    real = robustness_mod.pair_influence
+
+    def counted(bt, a, b, method="if"):
+        calls.append(method)
+        return real(bt, a, b, method=method)
+
+    monkeypatch.setattr(robustness_mod, "pair_influence", counted)
+    order = ranking(bt).order
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        check_topk(arena, bt, 2, DropBudget(count=1), method="newton")
+        min_drop_search(arena, bt, order[0], order[1], max_budget=3, method="newton")
+    saturated = [w for w in caught if "saturated leverage" in str(w.message)]
+    assert len(calls) > 1 and set(calls) == {"newton"}
+    assert len(saturated) == len(calls)
+
+
+def test_audits_call_each_stage_through_the_module_attributes(monkeypatch):
+    # Callers that trace or count the stages of a pair check (the benchmark's
+    # spans, its refit ledger) replace these attributes; every pair check of
+    # an audit must go through each of them once.
+    arena = generate(round_robin_spec(61, n_models=5, games_per_pair=12))
+    bt = fit(arena)
+    calls = {name: 0 for name in ("check_pair", "pair_influence", "select_drop_set", "refit_without")}
+
+    def counting(name):
+        real = getattr(robustness_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(robustness_mod, name, counting(name))
+    tk = check_topk(arena, bt, 2, DropBudget(count=2), always_refit=True)
+    assert set(calls.values()) == {tk.pairs_checked}
+    for name in calls:
+        calls[name] = 0
+    order = ranking(bt).order
+    result = min_drop_search(arena, bt, order[0], order[1], max_budget=4)
+    assert set(calls.values()) == {result.budgets_tried}
