@@ -157,13 +157,6 @@ class PairCells:
         occupied.flags.writeable = False
         return occupied
 
-    def first_rows(self, classes: np.ndarray, limit: np.ndarray) -> np.ndarray:
-        """The ``limit[i]`` lowest-index matchups of class ``classes[i]``, class after class."""
-        rows, start, size = self.class_index
-        take = np.minimum(size[classes], limit)
-        offsets = np.repeat(start[classes] - (np.cumsum(take) - take), take)
-        return rows[offsets + np.arange(offsets.size)]
-
 
 @dataclass(frozen=True)
 class Arena:

@@ -34,9 +34,6 @@ __all__ = [
 # gradient tolerance far above it, so the gap's sign there is rounding noise,
 # not evidence of a reversal.
 _TIE_TOLERANCE = 8.0 * np.finfo(np.float64).eps
-# Up to this many kept classes, drop-set selection finishes in plain Python,
-# which beats its ~20 small numpy calls there; beyond it the numpy finish wins.
-_FEW_CLASSES = 8
 
 
 def reverses(leader_after: float, challenger_after: float) -> bool:
@@ -165,32 +162,25 @@ def select_drop_set(pi: PairInfluence, count: int) -> np.ndarray:
     Selection runs on the pair's (cell, winner) classes, whose matchups share
     one score: one mask and one partition over the classes keep those at or
     above the count-th largest helping class score, and only those are ranked
-    and opened. That is O(cells) in numpy plus work on at most ``count`` rows
-    per kept class, never O(N).
+    and opened. That is O(cells) in numpy plus a plain-Python sort of the kept
+    classes (``count`` plus ties at the cut, or fewer) and at most ``count``
+    rows per kept class, never O(N).
     """
     # Dropping matchup n alone is predicted to change the gap by -scores[n], so
     # the drop set is the ``count`` largest positive scores, ordered by (-score, index).
     scores = pi.class_scores
     cells = pi.cells
     rows, start, size = cells.class_index
-    # Empty classes score 0 here, so only positive entries can help. Each kept
-    # class holds a matchup, so a class below the count-th largest kept class
-    # score holds none of the count largest matchup scores.
+    # Empty classes score 0 here (a multiply by a mask cached on the cells, far
+    # cheaper per pair than recomputing it), so only positive entries can help.
+    # Each kept class holds a matchup, so a class below the count-th largest
+    # kept class score holds none of the count largest matchup scores.
     masked = scores * cells.occupied
     cut = masked.size - count
     floor = np.partition(masked, cut)[cut] if cut > 0 else 0.0
     kept = np.flatnonzero(masked >= floor) if floor > 0.0 else np.flatnonzero(masked > 0.0)
-    if kept.size > _FEW_CLASSES:
-        top = scores[kept]
-        by = np.argsort(-top)
-        kept, neg = kept[by], -top[by]
-        # A class gives at most ``count`` minus the matchups of strictly higher
-        # classes: all of them above the cut, its lowest indices at it, none below.
-        higher = np.concatenate(([0], np.cumsum(size[kept])))[np.searchsorted(neg, neg)]
-        chosen = cells.first_rows(kept, np.maximum(count - higher, 0))
-        order = np.lexsort((chosen, -scores[cells.row_class[chosen]]))
-        return chosen[order[:count]]
-    # The same rule in plain Python, cheaper than numpy calls on a few classes.
+    # A kept class gives at most ``count`` minus the matchups of strictly higher
+    # classes: its lowest indices, none below the cut.
     picked = []
     higher = seen = 0
     level = None

@@ -91,8 +91,8 @@ def test_select_drop_set_breaks_ties_by_lower_index():
 
 def test_select_drop_set_interleaves_tied_classes_by_index():
     # 15 cells of 6 models, each class holding 4 rows spread over the arena;
-    # most classes tie, more of them than the plain-Python finish takes, so the
-    # tied rows must be merged by index, not listed class after class.
+    # most classes tie, so the tied rows must be merged by index, not listed
+    # class after class.
     pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     records = [(a, b, 1) for a, b in pairs] * 3 + [(b, a, 0) for a, b in pairs]
     arena = Arena.from_records([f"m{k}" for k in range(6)], records)
@@ -424,8 +424,8 @@ def _bench_inputs():
 
 def test_select_drop_set_matches_sorted_reference_at_scale():
     # 20k rows over 60 models: thousands of classes, many holding several rows.
-    # Counts 1 and 2 keep a few classes, 30 and 1,000 keep many, so both ways
-    # of finishing the selection are checked against a per-matchup sort.
+    # Counts 1 and 2 keep a few classes, 30 and 1,000 keep many; each drop set
+    # is checked against a per-matchup sort.
     side_a, side_b, a_won = _bench_inputs().big_arena(651, 60, 20_000)
     arena = Arena(ModelRegistry([f"m{k}" for k in range(60)]), side_a, side_b, a_won)
     bt = fit(arena)
