@@ -132,10 +132,16 @@ class PairCells:
     def n_cells(self) -> int:
         return int(self.lo.size)
 
-    def class_weights(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell weight of the matchups the lower-index model won and lost."""
-        cw = np.bincount(self.row_class, weights=w, minlength=2 * self.n_cells)
-        return cw[1::2], cw[0::2]
+    def class_weights(self, w: np.ndarray) -> np.ndarray:
+        """Per-class sums of a per-matchup weighting, one O(N) pass."""
+        return np.bincount(self.row_class, weights=w, minlength=2 * self.n_cells)
+
+    @cached_property
+    def class_counts(self) -> np.ndarray:
+        """Number of matchups in each class: the full-data class weights, built once."""
+        counts = np.bincount(self.row_class, minlength=2 * self.n_cells)
+        counts.flags.writeable = False
+        return counts
 
     @cached_property
     def class_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,10 +149,10 @@ class PairCells:
 
         Ascending within each class; built with one stable argsort on first use.
         """
-        size = np.bincount(self.row_class, minlength=2 * self.n_cells)
+        size = self.class_counts
         rows = np.argsort(self.row_class, kind="stable")
         start = np.cumsum(size) - size
-        for arr in (rows, start, size):
+        for arr in (rows, start):
             arr.flags.writeable = False
         return rows, start, size
 

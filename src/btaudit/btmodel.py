@@ -3,8 +3,8 @@
 The negative log-likelihood is convex and low-dimensional (one free coordinate
 per model beyond the pinned reference), so a damped Newton iteration with a
 dense solve per step is cheap and deterministic. It depends on a weighting only
-through the weighted win counts of each pair of models that met, so a fit
-collapses the rows onto the arena's pair cells once and iterates on those.
+through its sums over the arena's (pair cell, winner) classes, so a fit carries
+those class weights, never a per-matchup vector, and iterates on pair cells.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class SolverOptions:
 class BtFit:
     """A fitted score vector under a data weighting, with solver diagnostics.
 
-    ``scores[0]`` is exactly 0 (the reference). Immutable after construction
+    ``scores[0]`` is exactly 0 (the reference); ``class_weights`` (read-only)
+    holds the weight of each class of ``arena.cells``. Immutable after construction
     apart from an internal cache reused by influence computations (one
     curvature factorization per fit). ``stop_reason`` says why the solver
     stopped: ``"tol"`` (the gradient tolerance was met), ``"max_iter"``,
@@ -80,7 +81,7 @@ class BtFit:
 
     arena: Arena
     options: SolverOptions
-    weights: np.ndarray
+    class_weights: np.ndarray
     scores: np.ndarray
     converged: bool
     diverged: bool
@@ -89,18 +90,6 @@ class BtFit:
     unidentified: tuple[int, ...]
     stop_reason: str
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-def _resolve_weights(arena: Arena, weighting: np.ndarray | None) -> np.ndarray:
-    if weighting is None:
-        return np.ones(arena.n_matchups)
-    w = np.ascontiguousarray(weighting, dtype=np.float64)
-    if not np.all(np.isfinite(w)) or (w.size and w.min() < 0):
-        raise FitError("weights must be finite and non-negative")
-    if w.shape != (arena.n_matchups,):
-        raise FitError(f"weighting has length {w.shape}, arena has {arena.n_matchups} matchups")
-    if not np.any(w > 0):
-        raise FitError("all weights are zero")
-    return w
 
 
 def sigmoid(z):
@@ -191,11 +180,12 @@ def _armijo_step(theta, d, g, cells: PairCells, wins, total, ridge) -> float | N
     return None
 
 
-def _minimize(cells: PairCells, wins, total, n_models, options: SolverOptions, theta0):
-    """Damped Newton with reference coordinate pinned at 0.
+def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
+    """Damped Newton under class weights ``cw``, with reference coordinate pinned at 0.
 
     Returns (theta, stop_reason, iterations, gradient_norm); see ``BtFit``.
     """
+    wins, total = cw[1::2], cw[1::2] + cw[0::2]
     if theta0 is None:
         theta = np.zeros(n_models)
     else:
@@ -258,15 +248,28 @@ def fit(
     carries ``diverged=True`` and an honest ``converged=False``.
     """
     options = options or SolverOptions()
-    w = _resolve_weights(arena, weighting)
+    cells = arena.cells
+    if weighting is None:
+        return _fit_classes(arena, cells.class_counts.astype(np.float64), options, warm_start)
+    w = np.ascontiguousarray(weighting, dtype=np.float64)
+    if not np.all(np.isfinite(w)) or (w.size and w.min() < 0):
+        raise FitError("weights must be finite and non-negative")
+    if w.shape != (arena.n_matchups,):
+        raise FitError(f"weighting has length {w.shape}, arena has {arena.n_matchups} matchups")
+    return _fit_classes(arena, cells.class_weights(w), options, warm_start)
+
+
+def _fit_classes(arena: Arena, cw: np.ndarray, options: SolverOptions, warm_start) -> BtFit:
+    """Fit and diagnose under class weights ``cw`` (2 * cells long; made read-only)."""
+    if not np.any(cw > 0):
+        raise FitError("all weights are zero")
+    cw.flags.writeable = False
     cells = arena.cells
     n_models = arena.n_models
-    wins, losses = cells.class_weights(w)
+    wins, losses = cw[1::2], cw[0::2]
     total = wins + losses
 
-    scores, stop_reason, iterations, gnorm = _minimize(
-        cells, wins, total, n_models, options, warm_start
-    )
+    scores, stop_reason, iterations, gnorm = _minimize(cells, cw, n_models, options, warm_start)
     converged = stop_reason == "tol"
 
     games = _per_model(cells, total, total, n_models)
@@ -284,7 +287,7 @@ def fit(
     return BtFit(
         arena=arena,
         options=options,
-        weights=w,
+        class_weights=cw,
         scores=scores,
         converged=converged,
         diverged=diverged,
@@ -296,10 +299,8 @@ def fit(
 
 
 def _fit_scores(arena: Arena, w: np.ndarray, options: SolverOptions) -> np.ndarray:
-    """Score vector only; skips diagnostics for tight refit loops."""
-    wins, losses = arena.cells.class_weights(w)
-    scores, _, _, _ = _minimize(arena.cells, wins, wins + losses, arena.n_models, options, None)
-    return scores
+    """Scores alone; collapses ``w`` row by row, a check on ``refit_without``'s subtraction."""
+    return _minimize(arena.cells, arena.cells.class_weights(w), arena.n_models, options, None)[0]
 
 
 def refit_without(arena: Arena, options: SolverOptions, drop_indices: Sequence[int]) -> BtFit:
@@ -308,17 +309,19 @@ def refit_without(arena: Arena, options: SolverOptions, drop_indices: Sequence[i
     A model left with no matchups at all is reported in ``unidentified`` (the
     ridge keeps its score at 0); a model left with only wins or only losses is
     not, and the ridge bounds its score. Dropping nothing reproduces the
-    full-data fit exactly.
+    full-data fit exactly. The class weights are the cells' cached counts less
+    the dropped classes, O(cells + drops): integers, so bit-identical to a 0/1 weighting's.
     """
-    idx = np.asarray(list(drop_indices), dtype=np.int64)
-    n = arena.n_matchups
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    idx = np.asarray(list(drop_indices))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise FitError("drop indices must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= arena.n_matchups):
         raise FitError("drop indices out of range")
     if np.unique(idx).size != idx.size:
         raise FitError("drop indices must be unique")
-    w = np.ones(n)
-    w[idx] = 0.0
-    return fit(arena, w, options)
+    cw = arena.cells.class_counts.astype(np.float64)
+    np.subtract.at(cw, arena.cells.row_class[idx.astype(np.int64)], 1.0)
+    return _fit_classes(arena, cw, options, None)
 
 
 @dataclass(frozen=True)

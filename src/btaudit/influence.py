@@ -1,9 +1,9 @@
 """Per-matchup influence on fitted scores: first-order and leverage-corrected.
 
-All computations share one checked inverse of the fit's curvature matrix,
-cached on the fit for its lifetime and read-only after it is built. Scores are
-computed once per (pair cell, winner) class; the public per-matchup functions
-gather them to matchups, and the audit path keeps them per class.
+All computations share one checked inverse of the fit's curvature matrix, built
+from the fit's class weights (no per-matchup vector) and cached on the fit,
+read-only, for its lifetime. Scores are computed once per (pair cell, winner)
+class; the public per-matchup functions gather them, and audits keep them per class.
 
 An audit over many pairs (``check_topk``, ``min_drop_search``) runs on a
 private view of the fit from ``_audit_view``: the same fit with a copy of its
@@ -46,16 +46,17 @@ class HessianFactor:
 
     Assembled by the solver's own curvature routine from the fit's pair cells,
     at the fitted scores; ``probs[c]`` is the fitted probability that cell c's
-    lower-index model wins. The per-cell residuals and leverages and the
-    per-class one-step Newton denominators are computed here, once per fit.
+    lower-index model wins; ``inverse`` embeds the inverse with a zero reference
+    row and column. It, the per-cell residuals and leverages and the per-class
+    one-step Newton denominators are computed here, once per fit.
     """
 
     def __init__(self, bt: BtFit):
         cells = bt.arena.cells
         m = bt.arena.n_models
-        wins, losses = cells.class_weights(bt.weights)
+        cw = bt.class_weights
         self.probs = sigmoid(bt.scores[cells.lo] - bt.scores[cells.hi])
-        self.matrix = _curvature(cells, wins + losses, self.probs, bt.options.ridge, m)
+        self.matrix = _curvature(cells, cw[1::2] + cw[0::2], self.probs, bt.options.ridge, m)
         singular = None
         try:
             chol = np.linalg.cholesky(self.matrix)
@@ -76,7 +77,7 @@ class HessianFactor:
         k = np.zeros((m, m))
         k[1:, 1:] = chol_inv.T @ chol_inv
         k.flags.writeable = False
-        self._inverse = k
+        self.inverse = k
         # Residuals of the lower-index model's outcome: lost (class 2c), won (class 2c + 1).
         self.residuals = np.stack([-self.probs, 1.0 - self.probs], axis=1)
         lo, hi = cells.lo, cells.hi
@@ -90,10 +91,6 @@ class HessianFactor:
         self.saturated_rows = (
             int(np.count_nonzero(saturated[cells.row_class])) if saturated.any() else 0
         )
-
-    def inverse(self) -> np.ndarray:
-        """Embedded inverse with zero reference row and column."""
-        return self._inverse
 
 
 def hessian_factor(bt: BtFit) -> HessianFactor:
@@ -130,7 +127,7 @@ def _class_influence(bt: BtFit, t: int) -> np.ndarray:
         return memo[t]
     fac = hessian_factor(bt)
     cells = bt.arena.cells
-    u = fac.inverse()[t]
+    u = fac.inverse[t]
     scores = ((u[cells.lo] - u[cells.hi])[:, None] * fac.residuals).reshape(-1)
     if memo is not None:
         scores.flags.writeable = False
@@ -187,20 +184,13 @@ class PairInfluence:
     """Effect of a weight change on the difference of two fitted scores.
 
     ``class_scores[k]`` is the score of every matchup in (pair cell, winner)
-    class k of ``cells``; ``scores`` gathers it to matchups.
+    class k of ``cells``; ``class_scores[cells.row_class]`` gathers it to matchups.
     """
 
     pair: tuple[int, int]
     cells: PairCells
     class_scores: np.ndarray
     method: str  # "if" | "newton"
-
-    @property
-    def scores(self) -> np.ndarray:
-        """Per-matchup scores, ``class_scores[cells.row_class]``."""
-        scores = self.class_scores[self.cells.row_class]
-        scores.flags.writeable = False
-        return scores
 
 
 def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") -> PairInfluence:

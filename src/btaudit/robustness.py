@@ -214,7 +214,7 @@ def check_pair(
     on the reported indices reproduces the reported outcome bit for bit.
     """
     ia, ib = _canonical_pair(bt, a, b)
-    gap = float(bt.scores[ia] - bt.scores[ib])
+    scores_before = (float(bt.scores[ia]), float(bt.scores[ib]))
     count = budget.resolve(arena.n_matchups)
 
     pi = pair_influence(bt, ia, ib, method=method)
@@ -222,7 +222,7 @@ def check_pair(
     predicted_delta = (
         float(-pi.class_scores[pi.cells.row_class[dropped]].sum()) if dropped.size else 0.0
     )
-    predicted_flip = bool(gap + predicted_delta < 0.0)
+    predicted_flip = bool(scores_before[0] - scores_before[1] + predicted_delta < 0.0)
 
     refit_performed = False
     refit_flip = False
@@ -254,8 +254,8 @@ def check_pair(
         predicted_flip=predicted_flip,
         refit_performed=refit_performed,
         refit_flip=refit_flip,
-        dropped=tuple(int(n) for n in dropped),
-        scores_before=(float(bt.scores[ia]), float(bt.scores[ib])),
+        dropped=tuple(dropped.tolist()),
+        scores_before=scores_before,
         scores_after=scores_after,
         degenerate=degenerate,
         refit_unidentified=unidentified,

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,15 @@ def round_robin_spec(seed: int, n_models: int, games_per_pair: int = 3,
                 schedule.append((a, b, half))
             schedule.append((b, a, games_per_pair - half))
     return SynthSpec(strengths=strengths, schedule=tuple(schedule), seed=seed)
+
+
+def bench_inputs():
+    """The benchmark's seeded arena generator, loaded from ``bench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from scipy.optimize import minimize_scalar
 from btaudit import (
     Arena,
     FitError,
+    ModelRegistry,
     SolverOptions,
     fit,
     generate,
@@ -16,7 +17,7 @@ from btaudit import (
     top_k_set,
 )
 from btaudit.btmodel import sigmoid
-from conftest import RIDGELESS, round_robin_spec, two_player_arena
+from conftest import RIDGELESS, bench_inputs, round_robin_spec, two_player_arena
 
 
 def test_symmetric_record_gives_equal_scores(arena_2_2):
@@ -107,7 +108,7 @@ def test_refit_without_empty_set_is_bitwise_identical():
     full = fit(arena, options=SolverOptions())
     refit = refit_without(arena, SolverOptions(), [])
     assert np.array_equal(full.scores, refit.scores)
-    assert np.array_equal(full.weights, refit.weights)
+    assert np.array_equal(full.class_weights, refit.class_weights)
     assert full.iterations == refit.iterations
 
 
@@ -140,6 +141,76 @@ def test_fit_errors():
         refit_without(arena, SolverOptions(), [1, 1])
     with pytest.raises(FitError, match="range"):
         refit_without(arena, SolverOptions(), [4])
+    for bad in ([1.7], [True, False], ["3"]):
+        with pytest.raises(FitError, match="integers"):
+            refit_without(arena, SolverOptions(), bad)
+
+
+def _assert_same_fit(got, want):
+    assert np.array_equal(got.scores, want.scores)
+    assert np.array_equal(got.class_weights, want.class_weights)
+    assert got.class_weights.dtype == want.class_weights.dtype
+    for name in ("iterations", "stop_reason", "converged", "diverged", "unidentified", "gradient_norm"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _fit_with_zeros_at(arena, options, drop):
+    w = np.ones(arena.n_matchups)
+    w[list(drop)] = 0.0
+    return fit(arena, w, options)
+
+
+def test_refit_without_matches_the_per_matchup_weighting():
+    # A refit subtracts the dropped matchups' classes from the cells' cached
+    # counts; a 0/1 weighting is collapsed row by row. They must agree bit for bit.
+    rng = np.random.Generator(np.random.PCG64(606))
+    for seed in range(40):
+        arena = generate(random_spec(seed, target_matchups=int(rng.integers(6, 40))))
+        n = arena.n_matchups
+        for options in (SolverOptions(), SolverOptions(ridge=1e-3)):
+            for size in (0, 1, 2, n // 2, n - 1):
+                drop = rng.choice(n, size=size, replace=False)
+                _assert_same_fit(refit_without(arena, options, drop),
+                                 _fit_with_zeros_at(arena, options, drop))
+
+    # Class (a-b, a won) holds rows 0-5 in both seat orders.
+    arena = Arena.from_records(
+        ["a", "b", "c"],
+        [(0, 1, 1)] * 4 + [(1, 0, 0)] * 2 + [(0, 1, 0)] * 3 + [(1, 2, 1), (2, 1, 1), (0, 2, 0), (2, 0, 0)],
+    )
+    cases = {
+        "several rows of one class": [0, 4, 5],
+        "a whole class": list(range(6)),
+        "every matchup of c": [9, 10, 11, 12],
+        "nothing": [],
+    }
+    for options in (SolverOptions(), RIDGELESS):
+        for name, drop in cases.items():
+            refit = refit_without(arena, options, drop)
+            _assert_same_fit(refit, _fit_with_zeros_at(arena, options, drop))
+            assert refit.unidentified == ((2,) if name == "every matchup of c" else ()), name
+        with pytest.raises(FitError, match="all weights are zero"):
+            refit_without(arena, options, range(arena.n_matchups))
+        with pytest.raises(FitError, match="all weights are zero"):
+            _fit_with_zeros_at(arena, options, range(arena.n_matchups))
+
+    side_a, side_b, a_won = bench_inputs().big_arena(9001, 60, 20_000)
+    arena = Arena(ModelRegistry([f"m{k}" for k in range(60)]), side_a, side_b, a_won)
+    drop = rng.choice(arena.n_matchups, size=10, replace=False)
+    _assert_same_fit(refit_without(arena, SolverOptions(), drop),
+                     _fit_with_zeros_at(arena, SolverOptions(), drop))
+
+
+def test_class_weights_are_read_only():
+    arena = generate(round_robin_spec(5, n_models=4))
+    cells = arena.cells
+    assert not cells.class_counts.flags.writeable
+    assert cells.class_index[2] is cells.class_counts  # counted once per arena
+    for bt in (fit(arena), fit(arena, np.full(arena.n_matchups, 0.5)),
+               refit_without(arena, SolverOptions(), [0, 3])):
+        assert bt.class_weights.shape == (2 * cells.n_cells,)
+        assert not bt.class_weights.flags.writeable
+    assert np.array_equal(fit(arena).class_weights, cells.class_counts)
 
 
 def test_orientation_invariance():

@@ -86,14 +86,16 @@ def test_pair_influence_linearity_and_antisymmetry():
         pi = pair_influence(bt, 1, 2, method=method)
         per_target = influence_scores if method == "if" else newton_scores
         expected = per_target(bt, 1) - per_target(bt, 2)
-        assert np.array_equal(pi.scores, expected)  # linearity, exact
+        row_class = arena.cells.row_class
+        assert np.array_equal(pi.class_scores[row_class], expected)  # linearity, exact
         swapped = pair_influence(bt, 2, 1, method=method)
-        assert np.array_equal(swapped.scores, -pi.scores)  # antisymmetry, exact
+        assert np.array_equal(swapped.class_scores, -pi.class_scores)  # antisymmetry, exact
 
 
 def test_pair_influence_with_reference_endpoint(fit_2_2):
     pi = pair_influence(fit_2_2, 0, 1)
-    assert np.allclose(pi.scores, [0.5, 0.5, -0.5, -0.5], atol=1e-12)
+    scores = pi.class_scores[pi.cells.row_class]
+    assert np.allclose(scores, [0.5, 0.5, -0.5, -0.5], atol=1e-12)
     with pytest.raises(ValueError, match="distinct"):
         pair_influence(fit_2_2, 1, 1)
 
@@ -154,7 +156,7 @@ def test_factor_solve_residual():
     arena = generate(round_robin_spec(37, n_models=5, games_per_pair=4))
     bt = fit(arena)
     fac = hessian_factor(bt)
-    k = fac.inverse()
+    k = fac.inverse
     assert not k[0].any() and not k[:, 0].any()  # the pinned reference
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(5):
@@ -212,7 +214,8 @@ def test_seat_order_twins_tie_bit_for_bit():
         first, second = ranking(bt).order[:2]
         for method in ("if", "newton"):
             pi = pair_influence(bt, first, second, method=method)
-            assert np.array_equal(pi.scores[:n], pi.scores[n:])
+            scores = pi.class_scores[arena.cells.row_class]
+            assert np.array_equal(scores[:n], scores[n:])
             chosen = select_drop_set(pi, 1)
             if chosen.size:
                 assert chosen[0] < n
@@ -225,8 +228,8 @@ def test_pair_influence_scores_gather_class_scores():
     for method in ("if", "newton"):
         pi = pair_influence(bt, 1, 2, method=method)
         assert pi.class_scores.size == 2 * arena.cells.n_cells
-        assert np.array_equal(pi.scores, pi.class_scores[arena.cells.row_class])
-        assert not pi.scores.flags.writeable
+        assert pi.cells is arena.cells
+        assert not pi.class_scores.flags.writeable
 
 
 def test_cached_newton_denominators_match_the_uncached_formula():
@@ -237,7 +240,7 @@ def test_cached_newton_denominators_match_the_uncached_formula():
         bt = fit(arena)
         cells = arena.cells
         lo, hi = cells.lo, cells.hi
-        k = hessian_factor(bt).inverse()
+        k = hessian_factor(bt).inverse
         p = sigmoid(bt.scores[lo] - bt.scores[hi])
         h = p * (1.0 - p) * (k[lo, lo] + k[hi, hi] - 2.0 * k[lo, hi])
         denom = 1.0 - np.repeat(h, 2)

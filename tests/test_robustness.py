@@ -1,11 +1,9 @@
 import dataclasses
 import gc
-import importlib.util
 import sys
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +32,7 @@ from btaudit import (
 )
 from btaudit import robustness as robustness_mod
 from btaudit.robustness import reverses
-from conftest import round_robin_spec, two_player_arena
+from conftest import bench_inputs, round_robin_spec, two_player_arena
 
 
 def test_drop_budget_resolution():
@@ -413,20 +411,11 @@ def test_reverses_needs_more_than_rounding():
     assert reverses(-1.0, 1.0)
 
 
-def _bench_inputs():
-    """The benchmark's seeded arena generator, loaded from ``bench/inputs.py``."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_select_drop_set_matches_sorted_reference_at_scale():
     # 20k rows over 60 models: thousands of classes, many holding several rows.
     # Counts 1 and 2 keep a few classes, 30 and 1,000 keep many; each drop set
     # is checked against a per-matchup sort.
-    side_a, side_b, a_won = _bench_inputs().big_arena(651, 60, 20_000)
+    side_a, side_b, a_won = bench_inputs().big_arena(651, 60, 20_000)
     arena = Arena(ModelRegistry([f"m{k}" for k in range(60)]), side_a, side_b, a_won)
     bt = fit(arena)
     order = ranking(bt).order
@@ -434,7 +423,7 @@ def test_select_drop_set_matches_sorted_reference_at_scale():
     for method in ("if", "newton"):
         for a, b in pairs:
             pi = pair_influence(bt, a, b, method=method)
-            s = pi.scores.tolist()
+            s = pi.class_scores[arena.cells.row_class].tolist()
             positive = sorted((-s[n], n) for n in range(len(s)) if s[n] > 0.0)
             for count in (1, 2, 30, 1_000):
                 expected = [n for _, n in positive[:count]]
