@@ -291,6 +291,8 @@ class IngestSchema:
             raise IngestError("on_malformed must be 'error' or 'skip'")
         if self.format not in (None, "csv", "jsonl"):
             raise IngestError("format must be 'csv' or 'jsonl'")
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise IngestError("delimiter must be exactly one character")
         decisive = set(self.a_wins) | set(self.b_wins)
         if set(self.a_wins) & set(self.b_wins) or decisive & set(self.ties) or decisive & set(self.both_bad):
             raise IngestError("outcome label sets must not overlap")
@@ -346,15 +348,15 @@ SCHEMA_PRESETS: dict[str, IngestSchema] = {
 
 
 def _open_text(source: str | Path | IO[str] | IO[bytes]):
-    """Return (text stream, needs_close)."""
+    """Return (text stream, needs_close). Paths and byte streams may start with a UTF-8 BOM."""
     if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8", newline=""), True
+        return open(source, encoding="utf-8-sig", newline=""), True
     if isinstance(source, io.TextIOBase):
         return source, False
     if hasattr(source, "read"):
         probe = source.read(0)
         if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+            return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
         return source, False
     raise IngestError(f"unsupported source {type(source).__name__}")
 
@@ -371,24 +373,70 @@ def _detect_format(source, schema: IngestSchema) -> str:
     raise IngestError("cannot infer file format; set 'format' in the schema")
 
 
-def _iter_rows(stream, fmt: str, schema: IngestSchema) -> Iterator[tuple[int, dict | None]]:
-    """Yield (row number, record). record is None for structurally unreadable rows."""
-    if fmt == "csv":
-        reader = csv.DictReader(stream, delimiter=schema.delimiter)
-        if reader.fieldnames is None:
+_JSON_WHITESPACE = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
+_UNREADABLE = object()  # record slot of a row that is not a record at all
+_TIE, _BOTH_BAD = 2, 3  # outcome codes beside 1 (side a won) and 0 (side b won)
+
+
+def _csv_records(stream, schema: IngestSchema, keep_meta: bool):
+    """Yield (row number, model a, model b, outcome, record) per data row.
+
+    Reads as ``csv.DictReader`` does: the first physical row is the header,
+    later blank rows are skipped, a short row reads ``None`` for its missing
+    fields, extra fields are ignored, and of duplicate header names the last
+    one wins. A row's number is the line it ends on. The record is the row as
+    a dict, built only when metadata is kept.
+    """
+    reader = csv.reader(stream, delimiter=schema.delimiter)
+    try:
+        header = next(reader, None)
+        if header is None:
             return
-        for rec in reader:
-            yield reader.line_num, rec
-    else:
-        for lineno, line in enumerate(stream, start=1):
+        width = len(header)
+        column = {name: k for k, name in enumerate(header)}
+        at_a, at_b, at_outcome = (column.get(name, width)
+                                  for name in (schema.model_a, schema.model_b, schema.outcome))
+        # Rows are cut or padded to the header. An absent column reads slot
+        # ``width``, a None appended to every row.
+        absent = width in (at_a, at_b, at_outcome)
+        fits = -1 if absent else width
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != fits:
+                row = row[:width] + [None] * (width - len(row)) + [None] * absent
+            record = dict(zip(header, row)) if keep_meta else None
+            yield reader.line_num, row[at_a], row[at_b], row[at_outcome], record
+    except csv.Error as exc:
+        raise IngestError(f"row {reader.line_num}: {exc}") from None
+
+
+def _jsonl_records(stream, schema: IngestSchema):
+    """Yield (line number, model a, model b, outcome, record) per non-blank line.
+
+    A line is read as ``json.loads`` reads it: JSON whitespace may surround one
+    value, and a line that is not one JSON object is ``_UNREADABLE``. Names are
+    kept as read when falsy (so they count as missing) and made strings
+    otherwise; an outcome is made a string unless it is absent or null.
+    """
+    key_a, key_b, key_outcome = schema.model_a, schema.model_b, schema.outcome
+    for lineno, line in enumerate(stream, start=1):
+        try:
+            rec, end = _raw_decode(line)
+        except json.JSONDecodeError:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_WHITESPACE)))
             except json.JSONDecodeError:
-                yield lineno, None
-                continue
-            yield lineno, rec if isinstance(rec, dict) else None
+                rec = end = None
+        if not isinstance(rec, dict) or len(line.rstrip(_JSON_WHITESPACE)) != end:
+            yield lineno, None, None, None, _UNREADABLE
+            continue
+        name_a, name_b, outcome = rec.get(key_a), rec.get(key_b), rec.get(key_outcome)
+        yield (lineno, name_a and str(name_a), name_b and str(name_b),
+               None if outcome is None else str(outcome), rec)
 
 
 def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str) -> Arena:
@@ -397,117 +445,85 @@ def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str)
     Only decisive matchups are kept, in source order; tie and "both bad" rows are
     dropped and counted. The model registry follows first appearance unless the
     schema names a reference model, which is pinned to index 0. Identical bytes
-    and schema always produce an identical arena.
+    and schema always produce an identical arena. The source is read in one
+    streaming pass.
     """
     if isinstance(schema, str):
         if schema not in SCHEMA_PRESETS:
             raise IngestError(f"unknown schema preset {schema!r}")
         schema = SCHEMA_PRESETS[schema]
 
-    label_kind: dict[str, str] = {}
-    for label in schema.a_wins:
-        label_kind[label] = "a"
-    for label in schema.b_wins:
-        label_kind[label] = "b"
-    for label in schema.ties:
-        label_kind.setdefault(label, "tie")
-    for label in schema.both_bad:
-        label_kind[label] = "both_bad"
-
-    names: list[str] = []
-    name_index: dict[str, int] = {}
-    if schema.reference is not None:
-        names.append(schema.reference)
-        name_index[schema.reference] = 0
-
-    def register(name: str) -> int:
-        idx = name_index.get(name)
-        if idx is None:
-            idx = len(names)
-            names.append(name)
-            name_index[name] = idx
-        return idx
-
-    keep_meta = schema.meta_columns == "all" or bool(schema.meta_columns)
+    codes = dict.fromkeys(schema.ties, _TIE)
+    codes.update(dict.fromkeys(schema.both_bad, _BOTH_BAD))
+    codes.update(dict.fromkeys(schema.a_wins, 1))
+    codes.update(dict.fromkeys(schema.b_wins, 0))
+    index: dict[str, int] = {} if schema.reference is None else {schema.reference: 0}
+    setdefault = index.setdefault
+    meta_all = schema.meta_columns == "all"
+    keep_meta = meta_all or bool(schema.meta_columns)
+    not_meta = {schema.model_a, schema.model_b, schema.outcome}
+    skip = schema.on_malformed == "skip"
     side_a: list[int] = []
     side_b: list[int] = []
     a_won: list[int] = []
     metas: list[Mapping[str, str] | None] = []
-    source_rows = ties = both_bad = malformed = 0
-    reference_seen = schema.reference is None
+    ties = both_bad = malformed = 0
 
     stream, needs_close = _open_text(source)
     try:
-        fmt = _detect_format(source, schema)
-        for rownum, rec in _iter_rows(stream, fmt, schema):
-            source_rows += 1
-
-            def bad(msg: str) -> bool:
-                nonlocal malformed
-                if schema.on_malformed == "skip":
-                    malformed += 1
-                    return True
-                raise IngestError(f"row {rownum}: {msg}")
-
-            if rec is None:
-                bad("unreadable record")
-                continue
-            name_a = rec.get(schema.model_a)
-            name_b = rec.get(schema.model_b)
-            outcome = rec.get(schema.outcome)
-            if not name_a or not name_b or outcome is None:
-                bad("missing model or outcome field")
-                continue
-            name_a, name_b = str(name_a), str(name_b)
-            if name_a == name_b:
-                bad(f"model {name_a!r} on both sides")
-                continue
-            label = str(outcome)
-            kind = label_kind.get(label)
-            if kind is None:
-                raise IngestError(f"row {rownum}: unknown outcome label {label!r}")
-            if kind == "both_bad":
-                ties += 1
-                both_bad += 1
-                continue
-            if kind == "tie":
-                ties += 1
-                continue
-            idx_a = register(name_a)
-            idx_b = register(name_b)
-            if schema.reference in (name_a, name_b):
-                reference_seen = True
-            side_a.append(idx_a)
-            side_b.append(idx_b)
-            a_won.append(1 if kind == "a" else 0)
-            if keep_meta:
-                if schema.meta_columns == "all":
-                    skip = {schema.model_a, schema.model_b, schema.outcome}
-                    extra = {k: str(v) for k, v in rec.items()
-                             if k is not None and k not in skip and v is not None}
+        if _detect_format(source, schema) == "csv":
+            records = _csv_records(stream, schema, keep_meta)
+        else:
+            records = _jsonl_records(stream, schema)
+        for rownum, name_a, name_b, label, rec in records:
+            if not name_a or not name_b or label is None or name_a == name_b:
+                if rec is _UNREADABLE:
+                    msg = "unreadable record"
+                elif not name_a or not name_b or label is None:
+                    msg = "missing model or outcome field"
                 else:
-                    extra = {k: str(rec[k]) for k in schema.meta_columns if rec.get(k) is not None}
-                metas.append(extra)
+                    msg = f"model {name_a!r} on both sides"
+                if not skip:
+                    raise IngestError(f"row {rownum}: {msg}")
+                malformed += 1
+                continue
+            code = codes.get(label)
+            if code is None:
+                raise IngestError(f"row {rownum}: unknown outcome label {label!r}")
+            if code > 1:
+                ties += 1
+                both_bad += code == _BOTH_BAD
+                continue
+            side_a.append(setdefault(name_a, len(index)))
+            side_b.append(setdefault(name_b, len(index)))
+            a_won.append(code)
+            if keep_meta:
+                if meta_all:
+                    metas.append({k: str(v) for k, v in rec.items()
+                                  if v is not None and k not in not_meta})
+                else:
+                    metas.append({k: str(v) for k in schema.meta_columns
+                                  if (v := rec.get(k)) is not None})
     finally:
         if needs_close:
             stream.close()
 
     if not side_a:
         raise IngestError("no decisive matchups after filtering")
-    if len(names) < 2:
+    if len(index) < 2:
         raise IngestError("fewer than 2 distinct models after filtering")
-    if not reference_seen:
+    if schema.reference is not None and 0 not in side_a and 0 not in side_b:
         raise IngestError(f"reference model {schema.reference!r} never appears in the data")
 
     stats = IngestStats(
-        source_rows=source_rows,
+        source_rows=len(side_a) + ties + malformed,
         decisive=len(side_a),
         ties=ties,
         both_bad=both_bad,
         malformed_skipped=malformed,
     )
     return Arena(
-        models=ModelRegistry(names),
+        models=ModelRegistry(list(index)),
         side_a=np.array(side_a, dtype=np.int64),
         side_b=np.array(side_b, dtype=np.int64),
         a_won=np.array(a_won, dtype=np.int64),

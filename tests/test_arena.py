@@ -121,6 +121,51 @@ def test_jsonl_ingest_with_meta(tmp_path):
     assert list(arena.a_won) == [1, 0]
 
 
+def _same_arena(one, two):
+    assert one.models.names == two.models.names
+    for name in ("side_a", "side_b", "a_won"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
+    assert one.meta == two.meta and one.stats == two.stats
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_utf8_byte_order_mark_is_accepted(tmp_path, fmt):
+    from dataclasses import replace
+
+    rows = [line.split(",") for line in CSV.splitlines()[1:]]
+    if fmt == "csv":
+        text = "model_a,model_b,winner,prompt\n" + "".join(f"{a},{b},{w},hi\n" for a, b, w in rows)
+    else:
+        text = "".join(json.dumps({"model_a": a, "model_b": b, "winner": w, "prompt": "hi"}) + "\n"
+                       for a, b, w in rows)
+    schema = replace(SCHEMA, format=fmt, meta_columns=("prompt",))
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = ingest(plain, schema)
+    assert expected.n_matchups == 4 and expected.matchup(0).meta == {"prompt": "hi"}
+    _same_arena(ingest(marked, schema), expected)
+    with open(marked, "rb") as fh:
+        _same_arena(ingest(fh, schema), expected)
+
+
+def test_csv_field_over_the_parser_limit_reports_its_row():
+    import csv
+
+    text = CSV + "gpt,llama," + "x" * (csv.field_size_limit() + 1) + "\n"
+    with pytest.raises(IngestError, match=r"^row 8: field larger than field limit"):
+        ingest(io.StringIO(text), SCHEMA)
+
+
+@pytest.mark.parametrize("delimiter", ["||", "", 5])
+def test_schema_delimiter_must_be_one_character(delimiter):
+    from dataclasses import replace
+
+    with pytest.raises(IngestError, match="delimiter must be exactly one character"):
+        replace(SCHEMA, delimiter=delimiter)
+
+
 def test_meta_absent_by_default():
     arena = ingest(io.StringIO(CSV), SCHEMA)
     assert arena.meta is None

@@ -188,6 +188,23 @@ def test_error_exit_codes(workspace):
     assert main(["nonsense"]) == 1
 
 
+def test_csv_errors_exit_with_an_error_line(workspace, capsys):
+    import csv
+
+    long_field = workspace["root"] / "long.csv"
+    long_field.write_text(FIXTURE_CSV + "alpha,beta," + "x" * (csv.field_size_limit() + 1) + ",p\n",
+                          encoding="utf-8")
+    assert main(["fit", str(long_field), "--schema", workspace["schema"],
+                 "--out", workspace["out"]]) == 1
+    assert capsys.readouterr().err.startswith("error: row 7: field larger than field limit")
+
+    schema = workspace["root"] / "bad_delimiter.json"
+    schema.write_text(json.dumps(dict(SCHEMA, delimiter="||")), encoding="utf-8")
+    assert main(["fit", workspace["dataset"], "--schema", str(schema),
+                 "--out", workspace["out"]]) == 1
+    assert capsys.readouterr().err == "error: delimiter must be exactly one character\n"
+
+
 def test_env_var_default_out_dir(workspace, monkeypatch):
     env_out = workspace["root"] / "env-out"
     monkeypatch.setenv("BTAUDIT_OUT", str(env_out))
