@@ -9,12 +9,9 @@ every non-robustness verdict is verified by an exact refit.
 from .arena import (
     SCHEMA_PRESETS,
     Arena,
-    EloParams,
     IngestError,
     IngestSchema,
     IngestStats,
-    Matchup,
-    ModelId,
     ModelRegistry,
     elo_transform,
     ingest,
@@ -32,13 +29,10 @@ from .btmodel import (
     top_k_set,
 )
 from .influence import (
-    HessianFactor,
     PairInfluence,
     SingularHessianError,
     hessian_factor,
     influence_scores,
-    leverages,
-    newton_scores,
     pair_influence,
 )
 from .oracle import (
@@ -69,17 +63,13 @@ __all__ = [
     "BruteForceResult",
     "BtFit",
     "DropBudget",
-    "EloParams",
     "EnumerationCapError",
     "FitError",
     "HeadToHead",
-    "HessianFactor",
     "IngestError",
     "IngestSchema",
     "IngestStats",
-    "Matchup",
     "MinDropResult",
-    "ModelId",
     "ModelRegistry",
     "PairInfluence",
     "Ranking",
@@ -101,9 +91,7 @@ __all__ = [
     "influence_scores",
     "ingest",
     "involvement_composition",
-    "leverages",
     "min_drop_search",
-    "newton_scores",
     "pair_influence",
     "random_spec",
     "ranking",

@@ -5,21 +5,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "Arena",
-    "EloParams",
     "IngestError",
     "IngestSchema",
     "IngestStats",
-    "Matchup",
-    "ModelId",
     "ModelRegistry",
     "PairCells",
     "SCHEMA_PRESETS",
@@ -30,14 +28,6 @@ __all__ = [
 
 class IngestError(ValueError):
     """Raised when a dataset cannot be turned into a valid arena."""
-
-
-@dataclass(frozen=True)
-class ModelId:
-    """A registered model: dense index plus unique display name."""
-
-    index: int
-    name: str
 
 
 class ModelRegistry:
@@ -57,49 +47,23 @@ class ModelRegistry:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __iter__(self) -> Iterator[ModelId]:
-        return (ModelId(k, name) for k, name in enumerate(self._names))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __getitem__(self, index: int) -> ModelId:
-        return ModelId(index, self._names[index])
-
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
 
-    @property
-    def reference(self) -> ModelId:
-        return self[0]
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown model {name!r}") from None
-
-    def resolve(self, model: int | str | ModelId) -> int:
-        """Accept an index, a name, or a ModelId and return the dense index."""
-        if isinstance(model, ModelId):
-            model = model.index
+    def resolve(self, model: int | str) -> int:
+        """Accept a name or an integer index and return the dense index."""
         if isinstance(model, str):
-            return self.index_of(model)
-        idx = int(model)
+            try:
+                return self._index[model]
+            except KeyError:
+                raise KeyError(f"unknown model {model!r}") from None
+        if isinstance(model, bool):
+            raise TypeError("a model is a name or an integer index, not a bool")
+        idx = operator.index(model)
         if not 0 <= idx < len(self._names):
             raise IndexError(f"model index {idx} out of range [0, {len(self._names)})")
         return idx
-
-
-@dataclass(frozen=True)
-class Matchup:
-    """One decisive evaluation between two distinct models."""
-
-    side_a: ModelId
-    side_b: ModelId
-    a_won: bool
-    meta: Mapping[str, str] | None = None
 
 
 @dataclass(frozen=True)
@@ -224,17 +188,6 @@ class Arena:
     def n_models(self) -> int:
         return len(self.models)
 
-    def __len__(self) -> int:
-        return self.n_matchups
-
-    def matchup(self, n: int) -> Matchup:
-        return Matchup(
-            side_a=self.models[int(self.side_a[n])],
-            side_b=self.models[int(self.side_b[n])],
-            a_won=bool(self.a_won[n]),
-            meta=self.meta[n] if self.meta is not None else None,
-        )
-
     @cached_property
     def cells(self) -> PairCells:
         """Pair cells and each matchup's class; built once per arena."""
@@ -299,7 +252,7 @@ class IngestSchema:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "IngestSchema":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise IngestError(f"schema file {path} must hold a JSON object")
@@ -348,16 +301,22 @@ SCHEMA_PRESETS: dict[str, IngestSchema] = {
 
 
 def _open_text(source: str | Path | IO[str] | IO[bytes]):
-    """Return (text stream, needs_close). Paths and byte streams may start with a UTF-8 BOM."""
+    """Return (text stream, release). Paths and byte streams may start with a UTF-8 BOM.
+
+    ``release`` closes a file opened here or detaches the wrapper made over a
+    caller's byte stream, which stays open; it is None for a caller's text stream.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8-sig", newline=""), True
+        stream = open(source, encoding="utf-8-sig", newline="")
+        return stream, stream.close
     if isinstance(source, io.TextIOBase):
-        return source, False
+        return source, None
     if hasattr(source, "read"):
         probe = source.read(0)
         if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
-        return source, False
+            stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            return stream, stream.detach
+        return source, None
     raise IngestError(f"unsupported source {type(source).__name__}")
 
 
@@ -469,7 +428,7 @@ def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str)
     metas: list[Mapping[str, str] | None] = []
     ties = both_bad = malformed = 0
 
-    stream, needs_close = _open_text(source)
+    stream, release = _open_text(source)
     try:
         if _detect_format(source, schema) == "csv":
             records = _csv_records(stream, schema, keep_meta)
@@ -505,8 +464,8 @@ def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str)
                     metas.append({k: str(v) for k in schema.meta_columns
                                   if (v := rec.get(k)) is not None})
     finally:
-        if needs_close:
-            stream.close()
+        if release is not None:
+            release()
 
     if not side_a:
         raise IngestError("no decisive matchups after filtering")
@@ -532,32 +491,13 @@ def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str)
     )
 
 
-@dataclass(frozen=True)
-class EloParams:
-    """Affine display transform for fitted scores; strictly monotone, so rank-preserving."""
-
-    scale: float = 400.0
-    init_rating: float = 1000.0
-    anchor_model: int | None = None
-    anchor_score: float = 1114.0
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+ELO_SCALE = 400.0
+ELO_INIT_RATING = 1000.0
 
 
-def elo_transform(scores: np.ndarray, params: EloParams | None = None) -> np.ndarray:
-    """Map fitted scores to display ratings: scale * score + init_rating + shift.
+def elo_transform(scores: np.ndarray) -> np.ndarray:
+    """Map fitted scores to display ratings: ``ELO_SCALE * score + ELO_INIT_RATING``.
 
-    With an anchor model set, the shift is chosen so that model displays exactly
-    ``anchor_score``; otherwise the shift is 0.
+    Strictly monotone, so rank-preserving; the reference model displays 1000.
     """
-    params = params or EloParams()
-    scores = np.asarray(scores, dtype=np.float64)
-    shift = 0.0
-    if params.anchor_model is not None:
-        idx = int(params.anchor_model)
-        if not 0 <= idx < scores.size:
-            raise ValueError(f"anchor model index {idx} not in registry")
-        shift = params.anchor_score - (params.scale * scores[idx] + params.init_rating)
-    return params.scale * scores + params.init_rating + shift
+    return ELO_SCALE * np.asarray(scores, dtype=np.float64) + ELO_INIT_RATING

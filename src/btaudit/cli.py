@@ -11,10 +11,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .arena import SCHEMA_PRESETS, Arena, EloParams, IngestError, IngestSchema, ingest
+from .arena import SCHEMA_PRESETS, Arena, IngestError, IngestSchema, ingest
 from .btmodel import FitError, SolverOptions, fit, head_to_head, ranking
 from .influence import influence_scores
 from .oracle import brute_force_pair, finite_difference_influence, generate, random_spec
@@ -101,7 +101,7 @@ def _load_config(args) -> dict:
     path = getattr(args, "config", None)
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
@@ -155,31 +155,6 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
-@dataclass
-class AuditConfig:
-    """Resolved settings for one audit run."""
-
-    dataset: str
-    method: str = "if"
-    alphas: tuple[float, ...] = ()
-    counts: tuple[int, ...] = ()
-    ks: tuple[int, ...] = (1,)
-    always_refit: bool = False
-    max_budget: int = 100
-
-    def budgets(self) -> list[DropBudget]:
-        out = [DropBudget(alpha=a) for a in self.alphas]
-        out += [DropBudget(count=c) for c in self.counts]
-        if not out:
-            raise ValueError("at least one --alpha or --count budget is required")
-        return out
-
-    def validate_ks(self, n_models: int) -> None:
-        for k in self.ks:
-            if not 1 <= k < n_models:
-                raise ValueError(f"k={k} out of range [1, {n_models})")
-
-
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     arena = _load_arena(args, cfg)
@@ -187,7 +162,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(args, cfg)
     text = render_leaderboard(bt, dataset=args.dataset)
     (out / "leaderboard.txt").write_text(text, encoding="utf-8")
-    rows = leaderboard_rows(bt, EloParams())
+    rows = leaderboard_rows(bt)
     write_csv(out / "leaderboard.csv", ["rank", "model", "score", "elo", "matchups"], rows)
     print(arena.summary())
     print(f"wrote {out / 'leaderboard.txt'}")
@@ -198,24 +173,23 @@ def cmd_fit(args) -> int:
 def cmd_check_topk(args) -> int:
     cfg = _load_config(args)
     arena = _load_arena(args, cfg)
-    config = AuditConfig(
-        dataset=args.dataset,
-        method=_setting(args, cfg, "method", "if"),
-        alphas=tuple(_setting(args, cfg, "alpha", ()) or ()),
-        counts=tuple(_setting(args, cfg, "count", ()) or ()),
-        ks=tuple(_setting(args, cfg, "k", None) or (1,)),
-        always_refit=bool(_setting(args, cfg, "always_refit", False)),
-    )
-    config.validate_ks(arena.n_models)
-    budgets = config.budgets()
+    method = _setting(args, cfg, "method", "if")
+    ks = _setting(args, cfg, "k", None) or (1,)
+    always_refit = bool(_setting(args, cfg, "always_refit", False))
+    for k in ks:
+        if not 1 <= k < arena.n_models:
+            raise ValueError(f"k={k} out of range [1, {arena.n_models})")
+    budgets = [DropBudget(alpha=a) for a in _setting(args, cfg, "alpha", None) or ()]
+    budgets += [DropBudget(count=c) for c in _setting(args, cfg, "count", None) or ()]
+    if not budgets:
+        raise ValueError("at least one --alpha or --count budget is required")
     bt = fit(arena, options=_solver_options(args, cfg))
     out = _out_dir(args, cfg)
 
     any_non_robust = False
-    for k in config.ks:
+    for k in ks:
         for budget in budgets:
-            tk = check_topk(arena, bt, k, budget, method=config.method,
-                            always_refit=config.always_refit)
+            tk = check_topk(arena, bt, k, budget, method=method, always_refit=always_refit)
             stem = f"topk_k{k}_{_safe_name(budget.label().replace('=', ''))}"
             (out / f"{stem}.txt").write_text(
                 render_topk_report(tk, arena, bt, dataset=args.dataset), encoding="utf-8"
@@ -286,13 +260,15 @@ def cmd_inspect(args) -> int:
         return EXIT_ERROR
     print(f"pair: {fields.get('pair', '-')}")
     print(f"dropped matchups ({len(dropped)}), most influential first:")
+    names = arena.models.names
     for rank, n in enumerate(dropped, start=1):
-        m = arena.matchup(n)
-        winner = m.side_a.name if m.a_won else m.side_b.name
-        print(f"[{rank}] matchup {n}: {m.side_a.name} vs {m.side_b.name} | winner: {winner}")
-        if m.meta:
-            for key in sorted(m.meta):
-                print(f"    {key}: {_truncate(m.meta[key], args.truncate)}")
+        name_a, name_b = names[arena.side_a[n]], names[arena.side_b[n]]
+        winner = name_a if arena.a_won[n] else name_b
+        print(f"[{rank}] matchup {n}: {name_a} vs {name_b} | winner: {winner}")
+        meta = arena.meta[n]  # ingested with meta_columns="all"
+        if meta:
+            for key in sorted(meta):
+                print(f"    {key}: {_truncate(meta[key], args.truncate)}")
         else:
             print("    (no metadata)")
     return EXIT_OK

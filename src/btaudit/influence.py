@@ -3,7 +3,8 @@
 All computations share one checked inverse of the fit's curvature matrix, built
 from the fit's class weights (no per-matchup vector) and cached on the fit,
 read-only, for its lifetime. Scores are computed once per (pair cell, winner)
-class; the public per-matchup functions gather them, and audits keep them per class.
+class; ``influence_scores`` gathers them to matchups, and pair influence keeps
+them per class.
 
 An audit over many pairs (``check_topk``, ``min_drop_search``) runs on a
 private view of the fit from ``_audit_view``: the same fit with a copy of its
@@ -29,8 +30,6 @@ __all__ = [
     "SingularHessianError",
     "hessian_factor",
     "influence_scores",
-    "leverages",
-    "newton_scores",
     "pair_influence",
 ]
 
@@ -161,24 +160,6 @@ def influence_scores(bt: BtFit, target: int | str) -> np.ndarray:
     return _class_influence(bt, t)[bt.arena.cells.row_class]
 
 
-def leverages(bt: BtFit) -> np.ndarray:
-    """Weighted hat-matrix diagonal: p(1-p) * x' H^-1 x per matchup."""
-    _check_fit(bt)
-    return hessian_factor(bt).leverages[bt.arena.cells.row_class >> 1]
-
-
-def newton_scores(bt: BtFit, target: int | str) -> np.ndarray:
-    """Influence scores with the one-step Newton correction 1/(1 - leverage).
-
-    Matchups at saturated leverage (h >= 1 - 1e-12) are clamped to a large
-    sentinel and reported with a warning; the refit step keeps verdicts exact.
-    """
-    _check_fit(bt)
-    t = bt.arena.models.resolve(target)
-    _warn_saturated(bt)
-    return _class_newton(bt, t)[bt.arena.cells.row_class]
-
-
 @dataclass(frozen=True)
 class PairInfluence:
     """Effect of a weight change on the difference of two fitted scores.
@@ -197,7 +178,10 @@ def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") ->
     """Classwise difference of the two models' influence vectors.
 
     Exactly influence(a) - influence(b), so linearity holds bit-for-bit and
-    swapping the pair negates the scores.
+    swapping the pair negates the scores. ``method="newton"`` applies the
+    one-step Newton correction 1/(1 - leverage); classes at saturated leverage
+    (h >= 1 - 1e-12) are clamped to a large sentinel and reported with a
+    warning, and the refit step keeps verdicts exact.
     """
     _check_fit(bt)
     ia = bt.arena.models.resolve(a)

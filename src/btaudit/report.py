@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .arena import Arena, EloParams, elo_transform
+from .arena import Arena, elo_transform
 from .btmodel import BtFit, head_to_head, ranking
 from .robustness import MinDropResult, RobustnessReport, TopKReport, involvement_composition
 
@@ -178,10 +178,10 @@ def topk_pair_rows(tk: TopKReport) -> list[dict]:
     return rows
 
 
-def leaderboard_rows(bt: BtFit, elo: EloParams | None = None) -> list[dict]:
+def leaderboard_rows(bt: BtFit) -> list[dict]:
     """One row per model, best first: score, display rating, matchup count."""
     arena = bt.arena
-    display = elo_transform(bt.scores, elo)
+    display = elo_transform(bt.scores)
     counts = arena.occurrence_counts()
     rows = []
     for rank, idx in enumerate(ranking(bt).order, start=1):
@@ -195,7 +195,7 @@ def leaderboard_rows(bt: BtFit, elo: EloParams | None = None) -> list[dict]:
     return rows
 
 
-def render_leaderboard(bt: BtFit, dataset: str = "-", elo: EloParams | None = None) -> str:
+def render_leaderboard(bt: BtFit, dataset: str = "-") -> str:
     arena = bt.arena
     fields: list[tuple[str, object]] = [
         ("dataset", dataset),
@@ -210,7 +210,7 @@ def render_leaderboard(bt: BtFit, dataset: str = "-", elo: EloParams | None = No
             ("source_rows", arena.stats.source_rows),
         ]
     fields += _solver_fields(bt)
-    rows = leaderboard_rows(bt, elo)
+    rows = leaderboard_rows(bt)
     fields.append(("columns", "rank model score elo matchups"))
     for row in rows:
         fields.append(("row", f"{row['rank']} {row['model']} {row['score']} {row['elo']} {row['matchups']}"))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from btaudit import Arena, SolverOptions, SynthSpec
+from btaudit import Arena, SolverOptions, SynthSpec, hessian_factor, pair_influence
 
 RIDGELESS = SolverOptions(ridge=0.0)
 
@@ -27,6 +27,17 @@ def round_robin_spec(seed: int, n_models: int, games_per_pair: int = 3,
                 schedule.append((a, b, half))
             schedule.append((b, a, games_per_pair - half))
     return SynthSpec(strengths=strengths, schedule=tuple(schedule), seed=seed)
+
+
+def newton_rows(bt, t: int) -> np.ndarray:
+    """Model t's one-step Newton scores per matchup: its pair influence against the
+    reference, whose own scores are zero."""
+    return pair_influence(bt, t, 0, method="newton").class_scores[bt.arena.cells.row_class]
+
+
+def leverage_rows(bt) -> np.ndarray:
+    """The factor's per-cell leverages, gathered to matchups."""
+    return hessian_factor(bt).leverages[bt.arena.cells.row_class >> 1]
 
 
 def bench_inputs():

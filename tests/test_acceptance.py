@@ -27,13 +27,12 @@ from btaudit import (
     influence_scores,
     ingest,
     min_drop_search,
-    newton_scores,
     random_spec,
     ranking,
     refit_without,
     top_k_set,
 )
-from conftest import RIDGELESS, round_robin_spec, two_player_arena
+from conftest import RIDGELESS, newton_rows, round_robin_spec, two_player_arena
 
 
 def _pass(name: str, detail: str = "") -> None:
@@ -153,7 +152,7 @@ def test_one_step_newton_dominance():
         bt = fit(arena)
         m = arena.n_models
         pred_if = np.stack([influence_scores(bt, t) for t in range(1, m)])
-        pred_1sn = np.stack([newton_scores(bt, t) for t in range(1, m)])
+        pred_1sn = np.stack([newton_rows(bt, t) for t in range(1, m)])
         for n in range(arena.n_matchups):
             exact = refit_without(arena, bt.options, [n]).scores[1:] - bt.scores[1:]
             err_if.extend(np.abs(exact - (-pred_if[:, n])))

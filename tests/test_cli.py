@@ -224,6 +224,18 @@ def test_config_file_provides_defaults(workspace):
     assert code == 0
 
 
+def test_config_and_schema_files_may_start_with_a_byte_order_mark(workspace):
+    schema = workspace["root"] / "marked_schema.json"
+    schema.write_text(json.dumps(SCHEMA), encoding="utf-8-sig")
+    cfg = workspace["root"] / "marked_config.json"
+    cfg.write_text(json.dumps({"count": [3], "k": [1], "always_refit": True}), encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["check-topk", workspace["dataset"], "--schema", workspace["schema"],
+                 "--config", str(cfg), "--out", workspace["out"]]) == 2
+    assert main(["check-topk", workspace["dataset"], "--schema", str(schema),
+                 "--count", "3", "--always-refit", "--out", workspace["out"]]) == 2
+
+
 def test_selftest_passes(capsys):
     code = main(["selftest", "--seed", "3", "--arenas", "6"])
     out = capsys.readouterr().out
@@ -385,19 +397,59 @@ fit_converged: true
 fit_iterations: 5
 fit_gradient_norm: 3.57928594939e-16"""
 
+GOLDEN_LEADERBOARD = """report: leaderboard
+dataset: games.csv
+n_models: 4
+n_matchups: 14
+ties_dropped: 1
+both_bad_dropped: 0
+malformed_skipped: 0
+source_rows: 15
+solver_ridge: 1e-06
+solver_tol: 1e-08
+fit_converged: true
+fit_iterations: 5
+fit_gradient_norm: 3.57928594939e-16
+columns: rank model score elo matchups
+row: 1 alpha 0 1000 7
+row: 2 gamma -0.514422220535 794.231111786 7
+row: 3 beta -0.664370263756 734.251894497 8
+row: 4 delta -2.0288564945 188.457402201 6"""
 
-def test_reports_match_golden_text(tmp_path, monkeypatch):
+GOLDEN_LEADERBOARD_CSV = """rank,model,score,elo,matchups
+1,alpha,0,1000,7
+2,gamma,-0.514422220535,794.231111786,7
+3,beta,-0.664370263756,734.251894497,8
+4,delta,-2.0288564945,188.457402201,6
+"""
+
+GOLDEN_INSPECT = """pair: alpha vs beta
+dropped matchups (2), most influential first:
+[1] matchup 0: alpha vs beta | winner: alpha
+    prompt: p0
+[2] matchup 1: beta vs alpha | winner: alpha
+    prompt: p1
+"""
+
+
+def test_reports_match_golden_text(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "games.csv").write_text(GOLDEN_CSV, encoding="utf-8")
     (tmp_path / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
     common = ["--schema", "schema.json", "--out", "out"]
     assert main(["check-topk", "games.csv", "--k", "1", "--k", "2", "--count", "1", *common]) == 2
     assert main(["min-drop", "games.csv", "alpha", "beta", "--max-budget", "5", *common]) == 2
+    assert main(["fit", "games.csv", *common]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "out/mindrop_alpha_vs_beta.txt", "games.csv", "--schema", "schema.json"]) == 0
+    assert capsys.readouterr().out == GOLDEN_INSPECT
 
     out = tmp_path / "out"
     assert _strip_timestamp((out / "topk_k1_count1.txt").read_text()) == GOLDEN_TOPK_K1
     assert _strip_timestamp((out / "topk_k2_count1.txt").read_text()) == GOLDEN_TOPK_K2
     assert _strip_timestamp((out / "mindrop_alpha_vs_beta.txt").read_text()) == GOLDEN_MINDROP
+    assert _strip_timestamp((out / "leaderboard.txt").read_text()) == GOLDEN_LEADERBOARD
     for name, golden in (("topk_k1_count1_pairs.csv", GOLDEN_TOPK_K1_PAIRS),
-                         ("topk_k2_count1_pairs.csv", GOLDEN_TOPK_K2_PAIRS)):
+                         ("topk_k2_count1_pairs.csv", GOLDEN_TOPK_K2_PAIRS),
+                         ("leaderboard.csv", GOLDEN_LEADERBOARD_CSV)):
         assert (out / name).read_bytes() == golden.replace("\n", "\r\n").encode()

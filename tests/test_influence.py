@@ -13,8 +13,6 @@ from btaudit import (
     generate,
     hessian_factor,
     influence_scores,
-    leverages,
-    newton_scores,
     pair_influence,
     random_spec,
     ranking,
@@ -23,7 +21,7 @@ from btaudit import (
 )
 from btaudit.btmodel import sigmoid
 from btaudit.influence import _audit_view
-from conftest import RIDGELESS, round_robin_spec, two_player_arena
+from conftest import RIDGELESS, leverage_rows, newton_rows, round_robin_spec, two_player_arena
 
 
 @pytest.fixture
@@ -84,9 +82,9 @@ def test_pair_influence_linearity_and_antisymmetry():
     bt = fit(arena)
     for method in ("if", "newton"):
         pi = pair_influence(bt, 1, 2, method=method)
-        per_target = influence_scores if method == "if" else newton_scores
-        expected = per_target(bt, 1) - per_target(bt, 2)
         row_class = arena.cells.row_class
+        denom = 1.0 if method == "if" else hessian_factor(bt).newton_denominators[row_class]
+        expected = influence_scores(bt, 1) / denom - influence_scores(bt, 2) / denom
         assert np.array_equal(pi.class_scores[row_class], expected)  # linearity, exact
         swapped = pair_influence(bt, 2, 1, method=method)
         assert np.array_equal(swapped.class_scores, -pi.class_scores)  # antisymmetry, exact
@@ -101,10 +99,10 @@ def test_pair_influence_with_reference_endpoint(fit_2_2):
 
 
 def test_newton_scores_apply_leverage_correction(fit_2_2):
-    h = leverages(fit_2_2)
+    h = leverage_rows(fit_2_2)
     assert np.allclose(h, 0.25, atol=1e-12)
     base = influence_scores(fit_2_2, 1)
-    corrected = newton_scores(fit_2_2, 1)
+    corrected = newton_rows(fit_2_2, 1)
     assert np.allclose(corrected, base / 0.75, atol=1e-12)
 
 
@@ -112,7 +110,7 @@ def test_newton_beats_if_against_exact_loo(fit_2_2, arena_2_2):
     # Exact leave-one-out on the symmetric arena: drop one first-side win.
     exact = refit_without(arena_2_2, RIDGELESS, [0]).scores[1] - fit_2_2.scores[1]
     pred_if = -influence_scores(fit_2_2, 1)[0]
-    pred_newton = -newton_scores(fit_2_2, 1)[0]
+    pred_newton = -newton_rows(fit_2_2, 1)[0]
     assert abs(exact - pred_newton) < abs(exact - pred_if)
     assert exact == pytest.approx(np.log(2.0), abs=1e-8)
 
@@ -120,7 +118,7 @@ def test_newton_beats_if_against_exact_loo(fit_2_2, arena_2_2):
 def test_leverage_trace_identity_ridgeless():
     arena = generate(round_robin_spec(29, n_models=5, games_per_pair=4))
     bt = fit(arena, options=RIDGELESS)
-    h = leverages(bt)
+    h = leverage_rows(bt)
     assert np.all(h >= 0)
     assert h.sum() == pytest.approx(arena.n_models - 1, abs=1e-8)
 
@@ -129,14 +127,14 @@ def test_duplicate_matchups_share_leverage():
     arena = Arena.from_records(["a", "b", "c"],
                                [(0, 1, 1), (0, 1, 1), (1, 2, 0), (0, 2, 1)])
     bt = fit(arena)
-    h = leverages(bt)
+    h = leverage_rows(bt)
     assert h[0] == h[1]
 
 
 def test_large_ridge_shrinks_leverage():
     arena = two_player_arena(2, 2)
-    small = leverages(fit(arena, options=SolverOptions(ridge=1e-8)))
-    big = leverages(fit(arena, options=SolverOptions(ridge=1e3)))
+    small = leverage_rows(fit(arena, options=SolverOptions(ridge=1e-8)))
+    big = leverage_rows(fit(arena, options=SolverOptions(ridge=1e3)))
     assert np.all(big < 1e-3)
     assert np.all(big < small)
 
@@ -219,7 +217,7 @@ def test_seat_order_twins_tie_bit_for_bit():
             chosen = select_drop_set(pi, 1)
             if chosen.size:
                 assert chosen[0] < n
-        assert np.array_equal(leverages(bt)[:n], leverages(bt)[n:])
+        assert np.array_equal(leverage_rows(bt)[:n], leverage_rows(bt)[n:])
 
 
 def test_pair_influence_scores_gather_class_scores():
@@ -251,9 +249,9 @@ def test_cached_newton_denominators_match_the_uncached_formula():
             u = k[t]
             return ((u[lo] - u[hi])[:, None] * resid).reshape(-1) / denom
 
-        assert np.array_equal(leverages(bt), h[cells.row_class >> 1])
-        for t in range(arena.n_models):
-            assert np.array_equal(newton_scores(bt, t), newton(t)[cells.row_class])
+        assert np.array_equal(hessian_factor(bt).leverages, h)
+        for t in range(1, arena.n_models):
+            assert np.array_equal(newton_rows(bt, t), newton(t)[cells.row_class])
         for _ in range(2):  # the second call reads the cache
             pi = pair_influence(bt, 1, 3, method="newton")
             assert np.array_equal(pi.class_scores, newton(1) - newton(3))
@@ -265,7 +263,7 @@ def test_saturated_leverage_warns_once_per_call_and_clamps(monkeypatch):
     import btaudit.influence as influence_mod
 
     arena = generate(random_spec(5, n_models=4, target_matchups=30))
-    room = 1.0 - leverages(fit(arena))
+    room = 1.0 - leverage_rows(fit(arena))
     threshold = float(np.median(room))
     monkeypatch.setattr(influence_mod, "_SATURATION", threshold)
     bt = fit(arena)
@@ -274,7 +272,7 @@ def test_saturated_leverage_warns_once_per_call_and_clamps(monkeypatch):
     expected = influence_scores(bt, 1) / np.where(room <= threshold, threshold, room)
     for _ in range(2):
         with pytest.warns(RuntimeWarning, match=f"^{saturated} matchup"):
-            assert np.array_equal(newton_scores(bt, 1), expected)
+            assert np.array_equal(newton_rows(bt, 1), expected)
 
 
 @pytest.mark.parametrize("method", ["if", "newton"])

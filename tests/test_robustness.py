@@ -21,7 +21,6 @@ from btaudit import (
     fit,
     generate,
     involvement_composition,
-    leverages,
     min_drop_search,
     pair_influence,
     random_spec,
@@ -32,7 +31,7 @@ from btaudit import (
 )
 from btaudit import robustness as robustness_mod
 from btaudit.robustness import reverses
-from conftest import bench_inputs, round_robin_spec, two_player_arena
+from conftest import bench_inputs, leverage_rows, round_robin_spec, two_player_arena
 
 
 def test_drop_budget_resolution():
@@ -509,7 +508,7 @@ def test_saturated_warning_once_per_newton_pair_influence_in_an_audit(monkeypatc
     import btaudit.influence as influence_mod
 
     arena = generate(random_spec(5, n_models=4, target_matchups=30))
-    room = 1.0 - leverages(fit(arena))
+    room = 1.0 - leverage_rows(fit(arena))
     monkeypatch.setattr(influence_mod, "_SATURATION", float(np.median(room)))
     bt = fit(arena)
     calls = []
