@@ -85,12 +85,14 @@ class PairCells:
     order. Matchup n falls in class ``row_class[n] = 2 * c + 1`` when the
     lower-index model won it and ``2 * c`` otherwise, so matchups that differ
     only in seat order share a class, and the likelihood depends on a weighting
-    only through its per-class sums.
+    only through its per-class sums. ``slots[:, c]`` are cell c's positions
+    ``lo * M + hi`` and ``hi * M + lo`` in a flattened M-by-M matrix.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     row_class: np.ndarray
+    slots: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -195,8 +197,10 @@ class Arena:
         lo = np.minimum(self.side_a, self.side_b)
         keys, cell = np.unique(lo * m + np.maximum(self.side_a, self.side_b), return_inverse=True)
         lo_won = np.where(self.side_a == lo, self.a_won, 1 - self.a_won)
-        cells = PairCells(lo=keys // m, hi=keys % m, row_class=2 * cell.reshape(-1) + lo_won)
-        for arr in (cells.lo, cells.hi, cells.row_class):
+        lo, hi = keys // m, keys % m
+        cells = PairCells(lo=lo, hi=hi, row_class=2 * cell.reshape(-1) + lo_won,
+                          slots=np.stack([keys, hi * m + lo]))
+        for arr in (cells.lo, cells.hi, cells.row_class, cells.slots):
             arr.flags.writeable = False
         return cells
 

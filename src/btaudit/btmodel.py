@@ -5,6 +5,9 @@ per model beyond the pinned reference), so a damped Newton iteration with a
 dense solve per step is cheap and deterministic. It depends on a weighting only
 through its sums over the arena's (pair cell, winner) classes, so a fit carries
 those class weights, never a per-matchup vector, and iterates on pair cells.
+Each iterate gathers its cell differences ``z = theta[lo] - theta[hi]`` once for
+its gradient, curvature and objective value, and the candidate that a line
+search accepts carries its ``z`` and objective value on to the next iterate.
 """
 
 from __future__ import annotations
@@ -113,8 +116,8 @@ def _per_model(cells: PairCells, as_lo, as_hi, n_models: int) -> np.ndarray:
     )
 
 
-def _objective(theta, cells: PairCells, wins, total, ridge) -> float:
-    z = theta[cells.lo] - theta[cells.hi]
+def _value(z, theta, wins, total, ridge) -> float:
+    """The objective at ``theta``, from its cell differences ``z = theta[lo] - theta[hi]``."""
     val = float(total @ np.logaddexp(0.0, z) - wins @ z)
     if ridge:
         free = theta[1:]
@@ -122,31 +125,20 @@ def _objective(theta, cells: PairCells, wins, total, ridge) -> float:
     return val
 
 
-def _gradient(theta, cells: PairCells, wins, total, ridge, n_models):
-    """Gradient on the free coordinates, and each cell's probability that its lower model wins."""
-    p = sigmoid(theta[cells.lo] - theta[cells.hi])
-    r = total * p - wins
-    g = np.bincount(cells.lo, weights=r, minlength=n_models) - np.bincount(
-        cells.hi, weights=r, minlength=n_models
-    )
-    g = g[1:]
-    if ridge:
-        g = g + ridge * theta[1:]
-    return g, p
-
-
 def _curvature(cells: PairCells, total, p, ridge, n_models) -> np.ndarray:
     """Curvature on the free coordinates; cells are distinct pairs, so entries are set, not summed."""
     off = total * p * (p - 1.0)  # minus each cell's weighted variance
-    h = np.zeros((n_models, n_models))
-    h[cells.lo, cells.hi] = off
-    h[cells.hi, cells.lo] = off
+    h = np.zeros(n_models * n_models)
+    upper, lower = cells.slots
+    h[upper] = off
+    h[lower] = off
     # The ridge lands on the reference's diagonal entry too, which is cut off below.
-    h.flat[:: n_models + 1] = ridge - _per_model(cells, off, off, n_models)
-    return h[1:, 1:]
+    h[:: n_models + 1] = ridge - _per_model(cells, off, off, n_models)
+    return h.reshape(n_models, n_models)[1:, 1:]
 
 
-def _direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _direction(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newton direction and its slope ``g @ d``; plain descent where the curvature fails."""
     try:
         d = np.linalg.solve(h, -g)
     except np.linalg.LinAlgError:
@@ -159,31 +151,20 @@ def _direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
             d = None
         if d is not None and not np.isfinite(d).all():
             d = None
-    if d is None or float(g @ d) >= 0:
+    slope = None if d is None else float(g @ d)
+    if slope is None or slope >= 0:
         d = -g  # singular curvature: plain descent step
-    return d
-
-
-def _armijo_step(theta, d, g, cells: PairCells, wins, total, ridge) -> float | None:
-    """Backtracking step length along d, or None at the numerical floor."""
-    f0 = _objective(theta, cells, wins, total, ridge)
-    slope = float(g @ d)
-    if -slope <= _LINE_SEARCH_RESOLUTION * abs(f0) and float(np.abs(d).max()) <= 1.0:
-        return 1.0  # the quadratic basin, reached at a large total weight
-    step = 1.0
-    for _ in range(_MAX_HALVINGS):
-        cand = theta.copy()
-        cand[1:] += step * d
-        if _objective(cand, cells, wins, total, ridge) <= f0 + _ARMIJO * step * slope:
-            return step
-        step *= 0.5
-    return None
+        slope = float(g @ d)
+    return d, slope
 
 
 def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
     """Damped Newton under class weights ``cw``, with reference coordinate pinned at 0.
 
-    Returns (theta, stop_reason, iterations, gradient_norm); see ``BtFit``.
+    Each iterate's cell differences ``z`` feed its gradient, curvature and
+    objective value; a step accepted by the line search carries its ``z`` and
+    value on to the next iterate. Returns (theta, stop_reason, iterations,
+    gradient_norm); see ``BtFit``.
     """
     wins, total = cw[1::2], cw[1::2] + cw[0::2]
     if theta0 is None:
@@ -197,12 +178,22 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
         if not np.all(np.isfinite(theta)):
             raise FitError("warm start contains non-finite values")
 
+    lo, hi = cells.lo, cells.hi
     ridge, tol = options.ridge, options.tol
     iterations = 0
-    g, p = _gradient(theta, cells, wins, total, ridge, n_models)
-    gnorm = float(np.abs(g).max()) if g.size else 0.0
+    z = theta[lo] - theta[hi]
+    f = None  # the objective at theta, once computed
 
     while True:
+        p = sigmoid(z)
+        r = total * p - wins
+        g = np.bincount(lo, weights=r, minlength=n_models) - np.bincount(
+            hi, weights=r, minlength=n_models
+        )
+        g = g[1:]
+        if ridge:
+            g = g + ridge * theta[1:]
+        gnorm = float(np.abs(g).max()) if g.size else 0.0
         if not math.isfinite(gnorm):
             raise FitError("non-finite values encountered during fitting"
                            " (possible separation with ridge = 0)")
@@ -216,21 +207,35 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
             reason = "divergence"  # unbounded drift; also reported via the diverged flag
             break
 
-        h = _curvature(cells, total, p, ridge, n_models)
-        d = _direction(h, g)
-        step = 1.0
-        if gnorm > _PURE_NEWTON_GRAD or float(np.abs(d).max()) > 1.0:
-            step = _armijo_step(theta, d, g, cells, wins, total, ridge)
-            if step is None:
+        d, slope = _direction(_curvature(cells, total, p, ridge, n_models), g)
+        reach = float(np.abs(d).max())
+        # In the quadratic basin the full Newton step is safe, and a large total
+        # weight gets there with the predicted decrease below the objective's
+        # resolution, where a search could not rank candidates: no search there.
+        basin = gnorm <= _PURE_NEWTON_GRAD and reach <= 1.0
+        if not basin:
+            if f is None:
+                f = _value(z, theta, wins, total, ridge)
+            basin = -slope <= _LINE_SEARCH_RESOLUTION * abs(f) and reach <= 1.0
+        if basin:
+            theta[1:] += d
+            z = theta[lo] - theta[hi]
+            f = None
+        else:
+            step = 1.0
+            for _ in range(_MAX_HALVINGS):
+                cand = theta.copy()
+                cand[1:] += step * d
+                z = cand[lo] - cand[hi]
+                f_cand = _value(z, cand, wins, total, ridge)
+                if f_cand <= f + _ARMIJO * step * slope:
+                    break
+                step *= 0.5
+            else:
                 reason = "line_search_floor"  # reached before the gradient tolerance
                 break
-        # Otherwise in the quadratic basin: the full Newton step is safe and the
-        # objective differences are below float resolution, so skip the search.
-        theta = theta.copy()
-        theta[1:] += step * d
+            theta, f = cand, f_cand
         iterations += 1
-        g, p = _gradient(theta, cells, wins, total, ridge, n_models)
-        gnorm = float(np.abs(g).max()) if g.size else 0.0
 
     return theta, reason, iterations, gnorm
 

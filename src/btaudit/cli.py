@@ -117,6 +117,14 @@ def _setting(args, cfg: dict, name: str, default):
     return default
 
 
+def _repeated(args, cfg: dict, name: str) -> list:
+    """A repeatable flag's values; a config file may give a single one without a list."""
+    value = _setting(args, cfg, name, None)
+    if value is None:
+        return []
+    return list(value) if isinstance(value, list) else [value]
+
+
 def _resolve_schema(spec: str | None, reference: str | None) -> IngestSchema:
     if not spec:
         raise IngestError("--schema is required (preset name or JSON file)")
@@ -174,13 +182,13 @@ def cmd_check_topk(args) -> int:
     cfg = _load_config(args)
     arena = _load_arena(args, cfg)
     method = _setting(args, cfg, "method", "if")
-    ks = _setting(args, cfg, "k", None) or (1,)
+    ks = _repeated(args, cfg, "k") or [1]
     always_refit = bool(_setting(args, cfg, "always_refit", False))
     for k in ks:
         if not 1 <= k < arena.n_models:
             raise ValueError(f"k={k} out of range [1, {arena.n_models})")
-    budgets = [DropBudget(alpha=a) for a in _setting(args, cfg, "alpha", None) or ()]
-    budgets += [DropBudget(count=c) for c in _setting(args, cfg, "count", None) or ()]
+    budgets = [DropBudget(alpha=a) for a in _repeated(args, cfg, "alpha")]
+    budgets += [DropBudget(count=c) for c in _repeated(args, cfg, "count")]
     if not budgets:
         raise ValueError("at least one --alpha or --count budget is required")
     bt = fit(arena, options=_solver_options(args, cfg))

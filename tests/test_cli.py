@@ -224,6 +224,20 @@ def test_config_file_provides_defaults(workspace):
     assert code == 0
 
 
+def test_config_file_may_give_a_repeatable_flag_a_single_value(workspace, capsys):
+    # {"count": 3} in a config file means what {"count": [3]} and one --count 3 mean.
+    outcomes = []
+    for shape in (lambda v: [v], lambda v: v):
+        cfg = workspace["root"] / "config.json"
+        cfg.write_text(json.dumps({"count": shape(3), "alpha": shape(0.5), "k": shape(1),
+                                   "always_refit": True}), encoding="utf-8")
+        code = main(["check-topk", workspace["dataset"], "--schema", workspace["schema"],
+                     "--config", str(cfg), "--out", workspace["out"]])
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0][0] == 2 and outcomes[0][1].err == ""
+    assert outcomes[1] == outcomes[0]
+
+
 def test_config_and_schema_files_may_start_with_a_byte_order_mark(workspace):
     schema = workspace["root"] / "marked_schema.json"
     schema.write_text(json.dumps(SCHEMA), encoding="utf-8-sig")
