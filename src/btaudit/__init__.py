@@ -29,7 +29,6 @@ from .btmodel import (
     top_k_set,
 )
 from .influence import (
-    PairInfluence,
     SingularHessianError,
     hessian_factor,
     influence_scores,
@@ -71,7 +70,6 @@ __all__ = [
     "IngestStats",
     "MinDropResult",
     "ModelRegistry",
-    "PairInfluence",
     "Ranking",
     "RobustnessReport",
     "SCHEMA_PRESETS",

@@ -38,10 +38,16 @@ EXIT_ERROR = 1
 EXIT_NON_ROBUST = 2
 
 
+# Values of the flags left unset on the command line and in the config file.
+_DEFAULTS = {"ridge": SolverOptions.ridge, "tol": SolverOptions.tol, "method": "if", "k": (1,),
+             "always_refit": False, "max_budget": 100}
+
+
 class _Parser(argparse.ArgumentParser):
     # Exit code 2 is reserved for "non-robust found"; usage errors exit 1.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
 
 
@@ -97,32 +103,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
+def _config_flags(args) -> list[str]:
+    """The ``--config`` file's values as flags, for the flags left unset.
+
+    Every flag defaults to None, so a None attribute is a flag of this command
+    left unset on the command line. A list becomes repeated flags, ``true`` the
+    bare switch; ``false`` and ``null`` add nothing. Other keys are ignored, so
+    commands can share a config file.
+    """
     path = getattr(args, "config", None)
     if not path:
-        return {}
+        return []
     with open(path, encoding="utf-8-sig") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    return cfg
-
-
-def _setting(args, cfg: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
-
-
-def _repeated(args, cfg: dict, name: str) -> list:
-    """A repeatable flag's values; a config file may give a single one without a list."""
-    value = _setting(args, cfg, name, None)
-    if value is None:
-        return []
-    return list(value) if isinstance(value, list) else [value]
+    extra = []
+    for key, value in cfg.items():
+        if key not in vars(args) or getattr(args, key) is not None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            if item is True:
+                extra.append(flag)
+            elif item is not False and item is not None:
+                extra.append(f"{flag}={item}")  # "=" keeps a leading "-" a value
+    return extra
 
 
 def _resolve_schema(spec: str | None, reference: str | None) -> IngestSchema:
@@ -139,24 +145,14 @@ def _resolve_schema(spec: str | None, reference: str | None) -> IngestSchema:
     return schema
 
 
-def _out_dir(args, cfg: dict) -> Path:
-    out = _setting(args, cfg, "out", None) or os.environ.get(ENV_OUT) or "btaudit-out"
-    path = Path(out)
+def _out_dir(args) -> Path:
+    path = Path(args.out or os.environ.get(ENV_OUT) or "btaudit-out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _solver_options(args, cfg: dict) -> SolverOptions:
-    return SolverOptions(
-        ridge=float(_setting(args, cfg, "ridge", 1e-6)),
-        tol=float(_setting(args, cfg, "tol", 1e-8)),
-    )
-
-
-def _load_arena(args, cfg: dict) -> Arena:
-    schema = _resolve_schema(_setting(args, cfg, "schema", None),
-                             _setting(args, cfg, "reference", None))
-    return ingest(args.dataset, schema)
+def _load_arena(args) -> Arena:
+    return ingest(args.dataset, _resolve_schema(args.schema, args.reference))
 
 
 def _safe_name(name: str) -> str:
@@ -164,10 +160,9 @@ def _safe_name(name: str) -> str:
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args)
-    arena = _load_arena(args, cfg)
-    bt = fit(arena, options=_solver_options(args, cfg))
-    out = _out_dir(args, cfg)
+    arena = _load_arena(args)
+    bt = fit(arena, options=SolverOptions(ridge=args.ridge, tol=args.tol))
+    out = _out_dir(args)
     text = render_leaderboard(bt, dataset=args.dataset)
     (out / "leaderboard.txt").write_text(text, encoding="utf-8")
     rows = leaderboard_rows(bt)
@@ -179,25 +174,22 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check_topk(args) -> int:
-    cfg = _load_config(args)
-    arena = _load_arena(args, cfg)
-    method = _setting(args, cfg, "method", "if")
-    ks = _repeated(args, cfg, "k") or [1]
-    always_refit = bool(_setting(args, cfg, "always_refit", False))
-    for k in ks:
+    arena = _load_arena(args)
+    for k in args.k:
         if not 1 <= k < arena.n_models:
             raise ValueError(f"k={k} out of range [1, {arena.n_models})")
-    budgets = [DropBudget(alpha=a) for a in _repeated(args, cfg, "alpha")]
-    budgets += [DropBudget(count=c) for c in _repeated(args, cfg, "count")]
+    budgets = [DropBudget(alpha=a) for a in args.alpha or ()]
+    budgets += [DropBudget(count=c) for c in args.count or ()]
     if not budgets:
         raise ValueError("at least one --alpha or --count budget is required")
-    bt = fit(arena, options=_solver_options(args, cfg))
-    out = _out_dir(args, cfg)
+    bt = fit(arena, options=SolverOptions(ridge=args.ridge, tol=args.tol))
+    out = _out_dir(args)
 
     any_non_robust = False
-    for k in ks:
+    for k in args.k:
         for budget in budgets:
-            tk = check_topk(arena, bt, k, budget, method=method, always_refit=always_refit)
+            tk = check_topk(arena, bt, k, budget, method=args.method,
+                            always_refit=args.always_refit)
             stem = f"topk_k{k}_{_safe_name(budget.label().replace('=', ''))}"
             (out / f"{stem}.txt").write_text(
                 render_topk_report(tk, arena, bt, dataset=args.dataset), encoding="utf-8"
@@ -215,21 +207,18 @@ def cmd_check_topk(args) -> int:
 
 
 def cmd_min_drop(args) -> int:
-    cfg = _load_config(args)
     if args.model_a == args.model_b:
         print("error: min-drop needs two distinct models", file=sys.stderr)
         return EXIT_ERROR
-    arena = _load_arena(args, cfg)
-    method = _setting(args, cfg, "method", "if")
-    max_budget = int(_setting(args, cfg, "max_budget", 100))
-    bt = fit(arena, options=_solver_options(args, cfg))
+    arena = _load_arena(args)
+    bt = fit(arena, options=SolverOptions(ridge=args.ridge, tol=args.tol))
     a = arena.models.resolve(args.model_a)
     b = arena.models.resolve(args.model_b)
-    result = min_drop_search(arena, bt, a, b, max_budget=max_budget, method=method)
-    out = _out_dir(args, cfg)
+    result = min_drop_search(arena, bt, a, b, max_budget=args.max_budget, method=args.method)
+    out = _out_dir(args)
     stem = f"mindrop_{_safe_name(args.model_a)}_vs_{_safe_name(args.model_b)}"
     (out / f"{stem}.txt").write_text(
-        render_min_drop_report(result, arena, bt, dataset=args.dataset, max_budget=max_budget),
+        render_min_drop_report(result, arena, bt, dataset=args.dataset, max_budget=args.max_budget),
         encoding="utf-8",
     )
     if result.found:
@@ -239,7 +228,7 @@ def cmd_min_drop(args) -> int:
               f"({result.count / arena.n_matchups:.6f}), leader win percent {pct}")
         print(f"wrote {out / (stem + '.txt')}")
         return EXIT_NON_ROBUST
-    print(f"not found within budget {max_budget}")
+    print(f"not found within budget {args.max_budget}")
     print(f"wrote {out / (stem + '.txt')}")
     return EXIT_OK
 
@@ -283,13 +272,11 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    seed = int(args.seed)
-    n_arenas = int(args.arenas)
     sound = True
     non_robust = misses = 0
-    for i in range(n_arenas):
+    for i in range(args.arenas):
         budget = 1 + i % 3
-        spec = random_spec(seed * 100_003 + i, target_matchups=12 + (i % 9))
+        spec = random_spec(args.seed * 100_003 + i, target_matchups=12 + (i % 9))
         arena = generate(spec)
         bt = fit(arena)
         first, second = ranking(bt).order[:2]
@@ -303,7 +290,7 @@ def cmd_selftest(args) -> int:
         elif oracle.flip_exists:
             misses += 1
 
-    spec = random_spec(seed * 100_003 + n_arenas, target_matchups=16)
+    spec = random_spec(args.seed * 100_003 + args.arenas, target_matchups=16)
     arena = generate(spec)
     bt = fit(arena)
     target = int(ranking(bt).order[0]) or 1
@@ -315,7 +302,7 @@ def cmd_selftest(args) -> int:
     fd_ok = max_rel <= 1e-3
     sound = sound and fd_ok
 
-    print(f"selftest: {n_arenas} arenas, {non_robust} non-robust verdicts all "
+    print(f"selftest: {args.arenas} arenas, {non_robust} non-robust verdicts all "
           f"{'confirmed' if sound else 'NOT confirmed'} by exhaustive search, "
           f"{misses} prediction misses (one-sided guarantee)")
     print(f"selftest: derivative spot-check max relative error {max_rel:.2e} "
@@ -324,13 +311,22 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # Config values pass the same type and choice checks as typed flags.
+        # They go right after the command name, ahead of any "--".
+        extra = _config_flags(args)
+        if extra:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + extra + argv[at:])
+        for name, value in _DEFAULTS.items():
+            if getattr(args, name, False) is None:
+                setattr(args, name, value)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (IngestError, FitError, ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

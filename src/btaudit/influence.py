@@ -17,16 +17,14 @@ each fill their own. Calls outside an audit compute every vector afresh.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .arena import PairCells
 from .btmodel import BtFit, FitError, _curvature, sigmoid
 
 __all__ = [
     "HessianFactor",
-    "PairInfluence",
     "SingularHessianError",
     "hessian_factor",
     "influence_scores",
@@ -160,23 +158,11 @@ def influence_scores(bt: BtFit, target: int | str) -> np.ndarray:
     return _class_influence(bt, t)[bt.arena.cells.row_class]
 
 
-@dataclass(frozen=True)
-class PairInfluence:
-    """Effect of a weight change on the difference of two fitted scores.
+def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") -> np.ndarray:
+    """Classwise difference of the two models' influence vectors, read-only.
 
-    ``class_scores[k]`` is the score of every matchup in (pair cell, winner)
-    class k of ``cells``; ``class_scores[cells.row_class]`` gathers it to matchups.
-    """
-
-    pair: tuple[int, int]
-    cells: PairCells
-    class_scores: np.ndarray
-    method: str  # "if" | "newton"
-
-
-def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") -> PairInfluence:
-    """Classwise difference of the two models' influence vectors.
-
+    Entry k is the score of every matchup in (pair cell, winner) class k of
+    ``bt.arena.cells``; indexing with ``cells.row_class`` gathers it to matchups.
     Exactly influence(a) - influence(b), so linearity holds bit-for-bit and
     swapping the pair negates the scores. ``method="newton"`` applies the
     one-step Newton correction 1/(1 - leverage); classes at saturated leverage
@@ -197,6 +183,4 @@ def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") ->
         raise ValueError(f"method must be 'if' or 'newton', got {method!r}")
     class_scores = per_target(bt, ia) - per_target(bt, ib)
     class_scores.flags.writeable = False
-    return PairInfluence(
-        pair=(ia, ib), cells=bt.arena.cells, class_scores=class_scores, method=method
-    )
+    return class_scores

@@ -9,13 +9,14 @@ guarantee is one-sided) but verified verdicts carry a concrete witness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import Arena
+from .arena import Arena, PairCells
 from .btmodel import BtFit, refit_without, top_k_set
-from .influence import PairInfluence, _audit_view, pair_influence
+from .influence import _audit_view, pair_influence
 
 __all__ = [
     "DropBudget",
@@ -52,9 +53,12 @@ class DropBudget:
     def __post_init__(self):
         if (self.alpha is None) == (self.count is None):
             raise ValueError("set exactly one of alpha or count")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.count is not None and self.count < 1:
+        if self.alpha is not None:
+            if not isinstance(self.alpha, numbers.Real) or not 0.0 < self.alpha < 1.0:
+                raise ValueError(f"alpha must be a number in (0, 1), got {self.alpha!r}")
+        elif isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
+        elif self.count < 1:
             raise ValueError("count must be at least 1")
 
     def resolve(self, n_matchups: int) -> int:
@@ -154,11 +158,12 @@ def _canonical_pair(bt: BtFit, a, b) -> tuple[int, int]:
     return ia, ib
 
 
-def select_drop_set(pi: PairInfluence, count: int) -> np.ndarray:
+def select_drop_set(scores: np.ndarray, cells: PairCells, count: int) -> np.ndarray:
     """Indices whose removal is predicted to shrink the pair's score gap the most.
 
-    Only flip-helping matchups are eligible, so the result can be shorter than
-    ``count`` (or empty). Ties in predicted effect go to the lower index.
+    ``scores`` are the pair's class scores over ``cells``, as ``pair_influence``
+    returns them. Only flip-helping matchups are eligible, so the result can be
+    shorter than ``count`` (or empty). Ties in predicted effect go to the lower index.
     Selection runs on the pair's (cell, winner) classes, whose matchups share
     one score: one mask and one partition over the classes keep those at or
     above the count-th largest helping class score, and only those are ranked
@@ -168,8 +173,6 @@ def select_drop_set(pi: PairInfluence, count: int) -> np.ndarray:
     """
     # Dropping matchup n alone is predicted to change the gap by -scores[n], so
     # the drop set is the ``count`` largest positive scores, ordered by (-score, index).
-    scores = pi.class_scores
-    cells = pi.cells
     rows, start, size = cells.class_index
     # Empty classes score 0 here (a multiply by a mask cached on the cells, far
     # cheaper per pair than recomputing it), so only positive entries can help.
@@ -217,11 +220,10 @@ def check_pair(
     scores_before = (float(bt.scores[ia]), float(bt.scores[ib]))
     count = budget.resolve(arena.n_matchups)
 
-    pi = pair_influence(bt, ia, ib, method=method)
-    dropped = select_drop_set(pi, count)
-    predicted_delta = (
-        float(-pi.class_scores[pi.cells.row_class[dropped]].sum()) if dropped.size else 0.0
-    )
+    cells = bt.arena.cells
+    scores = pair_influence(bt, ia, ib, method=method)
+    dropped = select_drop_set(scores, cells, count)
+    predicted_delta = float(-scores[cells.row_class[dropped]].sum()) if dropped.size else 0.0
     predicted_flip = bool(scores_before[0] - scores_before[1] + predicted_delta < 0.0)
 
     refit_performed = False

@@ -32,7 +32,7 @@ def round_robin_spec(seed: int, n_models: int, games_per_pair: int = 3,
 def newton_rows(bt, t: int) -> np.ndarray:
     """Model t's one-step Newton scores per matchup: its pair influence against the
     reference, whose own scores are zero."""
-    return pair_influence(bt, t, 0, method="newton").class_scores[bt.arena.cells.row_class]
+    return pair_influence(bt, t, 0, method="newton")[bt.arena.cells.row_class]
 
 
 def leverage_rows(bt) -> np.ndarray:

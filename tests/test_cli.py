@@ -238,6 +238,47 @@ def test_config_file_may_give_a_repeatable_flag_a_single_value(workspace, capsys
     assert outcomes[1] == outcomes[0]
 
 
+@pytest.mark.parametrize("command, config, flags, bad_flag", [
+    ("check-topk", {"count": "1", "k": "1"}, ["--count", "1", "--k", "1"], None),
+    ("check-topk", {"alpha": "0.5"}, ["--alpha", "0.5"], None),
+    ("check-topk", {"k": 1.5}, None, "--k"),
+    ("check-topk", {"count": 1.7}, None, "--count"),
+    ("check-topk", {"always_refit": "false"}, None, "--always-refit"),
+    ("check-topk", {"method": "bogus"}, None, "--method"),
+    ("check-topk", {"ridge": "x"}, None, "--ridge"),
+    ("min-drop", {"max_budget": "x"}, None, "--max-budget"),
+    ("check-topk", None, ["--k", "x"], "--k"),
+], ids=["count-k-strings", "alpha-string", "k-float", "count-float", "always-refit-string",
+        "method-choice", "ridge-string", "max-budget-string", "typed-k-string"])
+def test_config_values_pass_the_checks_of_their_flags(workspace, capsys, command, config, flags,
+                                                      bad_flag):
+    # A config value runs as the same value typed as a flag would, or fails
+    # with one error line that names the flag, as a bad typed value does.
+    argv = [command, workspace["dataset"], *(["alpha", "beta"] if command == "min-drop" else []),
+            "--schema", workspace["schema"], "--out", workspace["out"]]
+    if config is None:
+        code = main(argv + flags)
+    else:
+        cfg = workspace["root"] / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code = main(argv + ["--config", str(cfg)])
+    printed = capsys.readouterr()
+    if bad_flag is None:
+        assert code in (0, 2) and printed.err == ""
+        assert (main(argv + flags), capsys.readouterr()) == (code, printed)
+    else:
+        errors = [line for line in printed.err.splitlines() if line.startswith("error:")]
+        assert code == 1 and len(errors) == 1
+        assert errors[0].startswith(f"error: argument {bad_flag}: ")
+
+
+def test_config_values_precede_a_double_dash(workspace):
+    cfg = workspace["root"] / "config.json"
+    cfg.write_text(json.dumps({"count": [3], "always_refit": True}), encoding="utf-8")
+    assert main(["check-topk", "--schema", workspace["schema"], "--config", str(cfg),
+                 "--out", workspace["out"], "--", workspace["dataset"]]) == 2
+
+
 def test_config_and_schema_files_may_start_with_a_byte_order_mark(workspace):
     schema = workspace["root"] / "marked_schema.json"
     schema.write_text(json.dumps(SCHEMA), encoding="utf-8-sig")

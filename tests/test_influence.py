@@ -85,14 +85,14 @@ def test_pair_influence_linearity_and_antisymmetry():
         row_class = arena.cells.row_class
         denom = 1.0 if method == "if" else hessian_factor(bt).newton_denominators[row_class]
         expected = influence_scores(bt, 1) / denom - influence_scores(bt, 2) / denom
-        assert np.array_equal(pi.class_scores[row_class], expected)  # linearity, exact
+        assert np.array_equal(pi[row_class], expected)  # linearity, exact
         swapped = pair_influence(bt, 2, 1, method=method)
-        assert np.array_equal(swapped.class_scores, -pi.class_scores)  # antisymmetry, exact
+        assert np.array_equal(swapped, -pi)  # antisymmetry, exact
 
 
 def test_pair_influence_with_reference_endpoint(fit_2_2):
     pi = pair_influence(fit_2_2, 0, 1)
-    scores = pi.class_scores[pi.cells.row_class]
+    scores = pi[fit_2_2.arena.cells.row_class]
     assert np.allclose(scores, [0.5, 0.5, -0.5, -0.5], atol=1e-12)
     with pytest.raises(ValueError, match="distinct"):
         pair_influence(fit_2_2, 1, 1)
@@ -212,9 +212,9 @@ def test_seat_order_twins_tie_bit_for_bit():
         first, second = ranking(bt).order[:2]
         for method in ("if", "newton"):
             pi = pair_influence(bt, first, second, method=method)
-            scores = pi.class_scores[arena.cells.row_class]
+            scores = pi[arena.cells.row_class]
             assert np.array_equal(scores[:n], scores[n:])
-            chosen = select_drop_set(pi, 1)
+            chosen = select_drop_set(pi, arena.cells, 1)
             if chosen.size:
                 assert chosen[0] < n
         assert np.array_equal(leverage_rows(bt)[:n], leverage_rows(bt)[n:])
@@ -225,9 +225,8 @@ def test_pair_influence_scores_gather_class_scores():
     bt = fit(arena)
     for method in ("if", "newton"):
         pi = pair_influence(bt, 1, 2, method=method)
-        assert pi.class_scores.size == 2 * arena.cells.n_cells
-        assert pi.cells is arena.cells
-        assert not pi.class_scores.flags.writeable
+        assert pi.size == 2 * arena.cells.n_cells
+        assert not pi.flags.writeable
 
 
 def test_cached_newton_denominators_match_the_uncached_formula():
@@ -254,7 +253,7 @@ def test_cached_newton_denominators_match_the_uncached_formula():
             assert np.array_equal(newton_rows(bt, t), newton(t)[cells.row_class])
         for _ in range(2):  # the second call reads the cache
             pi = pair_influence(bt, 1, 3, method="newton")
-            assert np.array_equal(pi.class_scores, newton(1) - newton(3))
+            assert np.array_equal(pi, newton(1) - newton(3))
 
 
 def test_saturated_leverage_warns_once_per_call_and_clamps(monkeypatch):
@@ -284,8 +283,8 @@ def test_pair_influence_is_bit_identical_inside_an_audit(method):
     view = _audit_view(bt)
     pairs = [(1, 3), (3, 1), (0, 5), (2, 4), (1, 3), (4, 2)]
     for a, b in pairs:
-        lone = pair_influence(bt, a, b, method=method).class_scores
-        audited = pair_influence(view, a, b, method=method).class_scores
+        lone = pair_influence(bt, a, b, method=method)
+        audited = pair_influence(view, a, b, method=method)
         assert lone.tobytes() == audited.tobytes()
     assert sorted(view._cache["class_influence"]) == [0, 1, 2, 3, 4, 5]
     assert "class_influence" not in bt._cache

@@ -13,7 +13,6 @@ from btaudit import (
     Arena,
     DropBudget,
     ModelRegistry,
-    PairInfluence,
     SolverOptions,
     brute_force_pair,
     check_pair,
@@ -48,21 +47,28 @@ def test_drop_budget_resolution():
         DropBudget(alpha=0.1, count=2)
     with pytest.raises(ValueError):
         DropBudget(alpha=1.5)
+    for bad in (1.7, True, "1", 2.0):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            DropBudget(count=bad)
+    for bad in ("0.5", 0.5j, [0.5]):
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            DropBudget(alpha=bad)
+    assert DropBudget(count=np.int64(3)).resolve(100) == 3
 
 
 def _classwise(arena, row_scores, empty=10.0):
-    """PairInfluence whose class scores gather to ``row_scores``; empty classes get ``empty``."""
+    """Class scores that gather to ``row_scores``; empty classes get ``empty``."""
     cells = arena.cells
     class_scores = np.full(2 * cells.n_cells, empty)
     class_scores[cells.row_class] = row_scores
     assert np.array_equal(class_scores[cells.row_class], row_scores)  # one score per class
-    return PairInfluence(pair=(0, 1), cells=cells, class_scores=class_scores, method="if")
+    return class_scores
 
 
 def test_select_drop_set_empty_when_nothing_helps():
     arena = Arena.from_records(["a", "b", "c"], [(0, 1, 1), (1, 2, 1), (0, 2, 0)])
     pi = _classwise(arena, [-1.0, -2.0, -0.5])
-    assert select_drop_set(pi, 2).size == 0
+    assert select_drop_set(pi, arena.cells, 2).size == 0
 
 
 def test_select_drop_set_orders_most_helpful_first():
@@ -70,7 +76,7 @@ def test_select_drop_set_orders_most_helpful_first():
     # must still never be chosen.
     arena = Arena.from_records(["a", "b", "c"], [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 1, 0)])
     pi = _classwise(arena, [0.1, 3.0, -1.0, 2.0])
-    assert list(select_drop_set(pi, 3)) == [1, 3, 0]
+    assert list(select_drop_set(pi, arena.cells, 3)) == [1, 3, 0]
 
 
 def test_select_drop_set_breaks_ties_by_lower_index():
@@ -80,10 +86,10 @@ def test_select_drop_set_breaks_ties_by_lower_index():
         ["a", "b", "c"], [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 0, 0), (1, 0, 1)]
     )
     pi = _classwise(arena, [1.0, 2.0, 2.0, 2.0, 0.5])
-    assert list(select_drop_set(pi, 1)) == [1]
-    assert list(select_drop_set(pi, 2)) == [1, 2]
-    assert list(select_drop_set(pi, 3)) == [1, 2, 3]
-    assert list(select_drop_set(pi, 4)) == [1, 2, 3, 0]
+    assert list(select_drop_set(pi, arena.cells, 1)) == [1]
+    assert list(select_drop_set(pi, arena.cells, 2)) == [1, 2]
+    assert list(select_drop_set(pi, arena.cells, 3)) == [1, 2, 3]
+    assert list(select_drop_set(pi, arena.cells, 4)) == [1, 2, 3, 0]
 
 
 def test_select_drop_set_interleaves_tied_classes_by_index():
@@ -97,7 +103,7 @@ def test_select_drop_set_interleaves_tied_classes_by_index():
     pi = _classwise(arena, row_scores)
     positive = sorted((-row_scores[n], n) for n in range(len(records)))
     for count in range(1, len(records)):
-        assert list(select_drop_set(pi, count)) == [n for _, n in positive[:count]]
+        assert list(select_drop_set(pi, arena.cells, count)) == [n for _, n in positive[:count]]
 
 
 @given(data=st.data())
@@ -117,17 +123,16 @@ def test_select_drop_set_matches_sorted_reference(data):
     class_scores = np.array(
         data.draw(st.lists(value, min_size=2 * cells.n_cells, max_size=2 * cells.n_cells))
     )
-    pi = PairInfluence(pair=(0, 1), cells=cells, class_scores=class_scores, method="if")
     s = class_scores[cells.row_class]
     positive = sorted((-s[n], n) for n in range(arena.n_matchups) if s[n] > 0.0)
     for count in range(1, arena.n_matchups + 1):
-        assert list(select_drop_set(pi, count)) == [n for _, n in positive[:count]]
+        assert list(select_drop_set(class_scores, cells, count)) == [n for _, n in positive[:count]]
 
 
 def test_select_single_drop_on_lopsided_arena(arena_3_1):
     bt = fit(arena_3_1)
     pi = pair_influence(bt, 0, 1)
-    chosen = select_drop_set(pi, 1)
+    chosen = select_drop_set(pi, arena_3_1.cells, 1)
     assert chosen.size == 1
     assert chosen[0] in (0, 1, 2)  # only dropping a leader win shrinks the gap
 
@@ -181,7 +186,7 @@ def test_orientation_normalization(arena_3_1):
 def test_check_pair_skips_refit_when_selection_empty(arena_3_1, monkeypatch):
     bt = fit(arena_3_1)
     monkeypatch.setattr(robustness_mod, "select_drop_set",
-                        lambda pi, budget: np.array([], dtype=np.int64))
+                        lambda scores, cells, count: np.array([], dtype=np.int64))
     rep = check_pair(arena_3_1, bt, 0, 1, DropBudget(count=2), always_refit=True)
     assert not rep.refit_performed
     assert not rep.predicted_flip
@@ -422,11 +427,11 @@ def test_select_drop_set_matches_sorted_reference_at_scale():
     for method in ("if", "newton"):
         for a, b in pairs:
             pi = pair_influence(bt, a, b, method=method)
-            s = pi.class_scores[arena.cells.row_class].tolist()
+            s = pi[arena.cells.row_class].tolist()
             positive = sorted((-s[n], n) for n in range(len(s)) if s[n] > 0.0)
             for count in (1, 2, 30, 1_000):
                 expected = [n for _, n in positive[:count]]
-                assert select_drop_set(pi, count).tolist() == expected
+                assert select_drop_set(pi, arena.cells, count).tolist() == expected
 
 
 def _watch_audit_views(monkeypatch) -> list:
