@@ -9,7 +9,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -142,7 +142,6 @@ class Arena:
     side_a: np.ndarray
     side_b: np.ndarray
     a_won: np.ndarray
-    meta: tuple[Mapping[str, str] | None, ...] | None = None
     stats: IngestStats | None = None
 
     def __post_init__(self):
@@ -169,18 +168,10 @@ class Arena:
         object.__setattr__(self, "a_won", a_won)
 
     @classmethod
-    def from_records(
-        cls,
-        models: Sequence[str],
-        records: Iterable[tuple[int, int, int]],
-        meta: Sequence[Mapping[str, str] | None] | None = None,
-    ) -> "Arena":
+    def from_records(cls, models: Sequence[str], records: Iterable[tuple[int, int, int]]) -> "Arena":
         recs = list(records)
-        side_a = np.array([r[0] for r in recs], dtype=np.int64)
-        side_b = np.array([r[1] for r in recs], dtype=np.int64)
-        a_won = np.array([r[2] for r in recs], dtype=np.int64)
-        return cls(ModelRegistry(models), side_a, side_b, a_won,
-                   meta=tuple(meta) if meta is not None else None)
+        return cls(ModelRegistry(models), [r[0] for r in recs], [r[1] for r in recs],
+                   [r[2] for r in recs])
 
     @property
     def n_matchups(self) -> int:
@@ -226,6 +217,9 @@ class IngestSchema:
     ``a_wins``/``b_wins``/``ties`` list the exact outcome labels; rows labeled
     ``both_bad`` carry no decisive preference and are dropped like ties.
     ``on_malformed`` is "error" (report the row number) or "skip" (count the row).
+    ``meta_columns`` selects what ``inspect`` prints of each dropped row: the
+    named columns, or for "all" or () every column but the model and outcome
+    columns. ``ingest`` ignores it.
     """
 
     model_a: str
@@ -250,6 +244,8 @@ class IngestSchema:
             raise IngestError("format must be 'csv' or 'jsonl'")
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise IngestError("delimiter must be exactly one character")
+        if isinstance(self.meta_columns, str) and self.meta_columns != "all":
+            raise IngestError('meta_columns must be "all" or a list of column names')
         decisive = set(self.a_wins) | set(self.b_wins)
         if set(self.a_wins) & set(self.b_wins) or decisive & set(self.ties) or decisive & set(self.both_bad):
             raise IngestError("outcome label sets must not overlap")
@@ -342,20 +338,21 @@ _UNREADABLE = object()  # record slot of a row that is not a record at all
 _TIE, _BOTH_BAD = 2, 3  # outcome codes beside 1 (side a won) and 0 (side b won)
 
 
-def _csv_records(stream, schema: IngestSchema, keep_meta: bool):
-    """Yield (row number, model a, model b, outcome, record) per data row.
+def _csv_records(stream, schema: IngestSchema):
+    """Yield the header, then (row number, model a, model b, outcome, row) per data row.
 
     Reads as ``csv.DictReader`` does: the first physical row is the header,
     later blank rows are skipped, a short row reads ``None`` for its missing
     fields, extra fields are ignored, and of duplicate header names the last
-    one wins. A row's number is the line it ends on. The record is the row as
-    a dict, built only when metadata is kept.
+    one wins. A row's number is the line it ends on; ``dict(zip(header, row))``
+    is its record.
     """
     reader = csv.reader(stream, delimiter=schema.delimiter)
     try:
         header = next(reader, None)
         if header is None:
             return
+        yield header
         width = len(header)
         column = {name: k for k, name in enumerate(header)}
         at_a, at_b, at_outcome = (column.get(name, width)
@@ -369,21 +366,22 @@ def _csv_records(stream, schema: IngestSchema, keep_meta: bool):
                 continue
             if len(row) != fits:
                 row = row[:width] + [None] * (width - len(row)) + [None] * absent
-            record = dict(zip(header, row)) if keep_meta else None
-            yield reader.line_num, row[at_a], row[at_b], row[at_outcome], record
+            yield reader.line_num, row[at_a], row[at_b], row[at_outcome], row
     except csv.Error as exc:
         raise IngestError(f"row {reader.line_num}: {exc}") from None
 
 
 def _jsonl_records(stream, schema: IngestSchema):
-    """Yield (line number, model a, model b, outcome, record) per non-blank line.
+    """Yield None, then (line number, model a, model b, outcome, record) per non-blank line.
 
-    A line is read as ``json.loads`` reads it: JSON whitespace may surround one
-    value, and a line that is not one JSON object is ``_UNREADABLE``. Names are
-    kept as read when falsy (so they count as missing) and made strings
-    otherwise; an outcome is made a string unless it is absent or null.
+    A record is a dict, so there is no header. A line is read as ``json.loads``
+    reads it: JSON whitespace may surround one value, and a line that is not one
+    JSON object is ``_UNREADABLE``. Names are kept as read when falsy (so they
+    count as missing) and made strings otherwise; an outcome is made a string
+    unless it is absent or null.
     """
     key_a, key_b, key_outcome = schema.model_a, schema.model_b, schema.outcome
+    yield None
     for lineno, line in enumerate(stream, start=1):
         try:
             rec, end = _raw_decode(line)
@@ -402,42 +400,32 @@ def _jsonl_records(stream, schema: IngestSchema):
                None if outcome is None else str(outcome), rec)
 
 
-def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str) -> Arena:
-    """Build an Arena from a delimiter-separated or record-per-line dataset.
+def _read(source, schema: IngestSchema, wanted=frozenset()) -> tuple[Arena, dict[int, dict]]:
+    """Read a dataset in one streaming pass: the arena, and ``{n: record}`` for n in ``wanted``.
 
-    Only decisive matchups are kept, in source order; tie and "both bad" rows are
-    dropped and counted. The model registry follows first appearance unless the
-    schema names a reference model, which is pinned to index 0. Identical bytes
-    and schema always produce an identical arena. The source is read in one
-    streaming pass.
+    Every row is classified here and nowhere else: a malformed row is an error
+    or, under ``on_malformed="skip"``, counted; an unknown outcome label is an
+    error; tie and "both bad" rows are counted. Only the decisive rows in
+    ``wanted`` are kept as records: a CSV row becomes a dict keyed by the header.
     """
-    if isinstance(schema, str):
-        if schema not in SCHEMA_PRESETS:
-            raise IngestError(f"unknown schema preset {schema!r}")
-        schema = SCHEMA_PRESETS[schema]
-
     codes = dict.fromkeys(schema.ties, _TIE)
     codes.update(dict.fromkeys(schema.both_bad, _BOTH_BAD))
     codes.update(dict.fromkeys(schema.a_wins, 1))
     codes.update(dict.fromkeys(schema.b_wins, 0))
     index: dict[str, int] = {} if schema.reference is None else {schema.reference: 0}
     setdefault = index.setdefault
-    meta_all = schema.meta_columns == "all"
-    keep_meta = meta_all or bool(schema.meta_columns)
-    not_meta = {schema.model_a, schema.model_b, schema.outcome}
     skip = schema.on_malformed == "skip"
     side_a: list[int] = []
     side_b: list[int] = []
     a_won: list[int] = []
-    metas: list[Mapping[str, str] | None] = []
+    kept: dict[int, dict] = {}
     ties = both_bad = malformed = 0
 
     stream, release = _open_text(source)
     try:
-        if _detect_format(source, schema) == "csv":
-            records = _csv_records(stream, schema, keep_meta)
-        else:
-            records = _jsonl_records(stream, schema)
+        read = _csv_records if _detect_format(source, schema) == "csv" else _jsonl_records
+        records = read(stream, schema)
+        header = next(records, None)
         for rownum, name_a, name_b, label, rec in records:
             if not name_a or not name_b or label is None or name_a == name_b:
                 if rec is _UNREADABLE:
@@ -457,42 +445,56 @@ def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str)
                 ties += 1
                 both_bad += code == _BOTH_BAD
                 continue
+            if wanted and len(side_a) in wanted:
+                kept[len(side_a)] = rec if header is None else dict(zip(header, rec))
             side_a.append(setdefault(name_a, len(index)))
             side_b.append(setdefault(name_b, len(index)))
             a_won.append(code)
-            if keep_meta:
-                if meta_all:
-                    metas.append({k: str(v) for k, v in rec.items()
-                                  if v is not None and k not in not_meta})
-                else:
-                    metas.append({k: str(v) for k in schema.meta_columns
-                                  if (v := rec.get(k)) is not None})
     finally:
         if release is not None:
             release()
 
     if not side_a:
         raise IngestError("no decisive matchups after filtering")
-    if len(index) < 2:
-        raise IngestError("fewer than 2 distinct models after filtering")
     if schema.reference is not None and 0 not in side_a and 0 not in side_b:
         raise IngestError(f"reference model {schema.reference!r} never appears in the data")
+    stats = IngestStats(source_rows=len(side_a) + ties + malformed, decisive=len(side_a),
+                        ties=ties, both_bad=both_bad, malformed_skipped=malformed)
+    return Arena(ModelRegistry(list(index)), side_a, side_b, a_won, stats=stats), kept
 
-    stats = IngestStats(
-        source_rows=len(side_a) + ties + malformed,
-        decisive=len(side_a),
-        ties=ties,
-        both_bad=both_bad,
-        malformed_skipped=malformed,
-    )
-    return Arena(
-        models=ModelRegistry(list(index)),
-        side_a=np.array(side_a, dtype=np.int64),
-        side_b=np.array(side_b, dtype=np.int64),
-        a_won=np.array(a_won, dtype=np.int64),
-        meta=tuple(metas) if keep_meta else None,
-        stats=stats,
-    )
+
+def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str) -> Arena:
+    """Build an Arena from a delimiter-separated or record-per-line dataset.
+
+    Only decisive matchups are kept, in source order; tie and "both bad" rows are
+    dropped and counted. The model registry follows first appearance unless the
+    schema names a reference model, which is pinned to index 0. Identical bytes
+    and schema always produce an identical arena. The source is read in one
+    streaming pass.
+    """
+    if isinstance(schema, str):
+        if schema not in SCHEMA_PRESETS:
+            raise IngestError(f"unknown schema preset {schema!r}")
+        schema = SCHEMA_PRESETS[schema]
+    return _read(source, schema)[0]
+
+
+def _records_at(source, schema: IngestSchema, wanted: Iterable[int]):
+    """``({n: (name a, name b, a_won, metadata)}, N)`` for the wanted decisive indices n < N.
+
+    The whole source is read as ``ingest`` reads it, so N and every error are
+    ``ingest``'s. Metadata holds the text of each ``meta_columns`` field a row
+    sets; "all" or () selects every column but the model and outcome columns.
+    """
+    arena, kept = _read(source, schema, set(wanted))
+    names, columns = arena.models.names, schema.meta_columns
+    not_meta = {schema.model_a, schema.model_b, schema.outcome}
+    records = {}
+    for n, rec in kept.items():
+        keys = [k for k in rec if k not in not_meta] if columns in ("all", ()) else columns
+        meta = {k: str(v) for k in keys if (v := rec.get(k)) is not None}
+        records[n] = names[arena.side_a[n]], names[arena.side_b[n]], int(arena.a_won[n]), meta
+    return records, arena.n_matchups
 
 
 ELO_SCALE = 400.0

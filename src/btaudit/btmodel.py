@@ -381,12 +381,13 @@ def head_to_head(arena: Arena, a: int | str, b: int | str) -> HeadToHead:
     ib = arena.models.resolve(b)
     if ia == ib:
         raise ValueError("head-to-head needs two distinct models")
-    forward = (arena.side_a == ia) & (arena.side_b == ib)
-    backward = (arena.side_a == ib) & (arena.side_b == ia)
-    wins_a = int(np.count_nonzero(forward & (arena.a_won == 1)))
-    wins_a += int(np.count_nonzero(backward & (arena.a_won == 0)))
-    wins_b = int(np.count_nonzero(forward & (arena.a_won == 0)))
-    wins_b += int(np.count_nonzero(backward & (arena.a_won == 1)))
+    # The pair's cell counts the lower-index model's wins in class 2c + 1, the other's in 2c.
+    cells, (lo, hi) = arena.cells, sorted((ia, ib))
+    c = int(np.searchsorted(cells.slots[0], lo * arena.n_models + hi))
+    wins = (0, 0)
+    if c < cells.n_cells and cells.lo[c] == lo and cells.hi[c] == hi:
+        wins = int(cells.class_counts[2 * c + 1]), int(cells.class_counts[2 * c])
+    wins_a, wins_b = wins if ia == lo else wins[::-1]
     total = wins_a + wins_b
     percent = wins_a / total if total else None
     return HeadToHead(wins_a=wins_a, wins_b=wins_b, win_percent=percent)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .arena import SCHEMA_PRESETS, Arena, IngestError, IngestSchema, ingest
+from .arena import SCHEMA_PRESETS, Arena, IngestError, IngestSchema, _records_at, ingest
 from .btmodel import FitError, SolverOptions, fit, head_to_head, ranking
 from .influence import influence_scores
 from .oracle import brute_force_pair, finite_difference_influence, generate, random_spec
@@ -247,22 +247,18 @@ def cmd_inspect(args) -> int:
         print("report lists no dropped matchups")
         return EXIT_OK
     dropped = [int(tok) for tok in dropped_raw.split()]
-    schema = _resolve_schema(args.schema, args.reference)
-    schema = replace(schema, meta_columns="all")
-    arena = ingest(args.dataset, schema)
-    bad = [n for n in dropped if not 0 <= n < arena.n_matchups]
+    records, n_matchups = _records_at(args.dataset, _resolve_schema(args.schema, args.reference),
+                                      dropped)
+    bad = [n for n in dropped if not 0 <= n < n_matchups]
     if bad:
         print(f"error: dropped index {bad[0]} out of range for this dataset "
-              f"(N={arena.n_matchups}); report/dataset mismatch", file=sys.stderr)
+              f"(N={n_matchups}); report/dataset mismatch", file=sys.stderr)
         return EXIT_ERROR
     print(f"pair: {fields.get('pair', '-')}")
     print(f"dropped matchups ({len(dropped)}), most influential first:")
-    names = arena.models.names
     for rank, n in enumerate(dropped, start=1):
-        name_a, name_b = names[arena.side_a[n]], names[arena.side_b[n]]
-        winner = name_a if arena.a_won[n] else name_b
-        print(f"[{rank}] matchup {n}: {name_a} vs {name_b} | winner: {winner}")
-        meta = arena.meta[n]  # ingested with meta_columns="all"
+        name_a, name_b, a_won, meta = records[n]
+        print(f"[{rank}] matchup {n}: {name_a} vs {name_b} | winner: {name_a if a_won else name_b}")
         if meta:
             for key in sorted(meta):
                 print(f"    {key}: {_truncate(meta[key], args.truncate)}")

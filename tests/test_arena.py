@@ -14,6 +14,7 @@ from btaudit import (
     elo_transform,
     ingest,
 )
+from btaudit.arena import _records_at
 
 SCHEMA = IngestSchema(
     model_a="model_a",
@@ -115,17 +116,23 @@ def test_jsonl_ingest_with_meta(tmp_path):
     schema = replace(SCHEMA, format="jsonl", meta_columns="all")
     arena = ingest(path, schema)
     assert arena.n_matchups == 2
-    assert arena.meta[0] == {"prompt": "hi", "judge": "human"}
+    records, n_matchups = _records_at(path, schema, [0, 1])
+    assert n_matchups == 2
+    assert records[0] == ("a", "b", 1, {"prompt": "hi", "judge": "human"})
+    assert records[1] == ("b", "a", 0, {"prompt": "yo", "judge": "gpt4"})
+    assert _records_at(path, replace(schema, meta_columns=("judge",)), [1])[0] == {
+        1: ("b", "a", 0, {"judge": "gpt4"})}
     assert arena.a_won[1] == 0
     # metadata never influences fitting inputs
     assert list(arena.a_won) == [1, 0]
+    _same_arena(ingest(path, replace(schema, meta_columns=())), arena)
 
 
 def _same_arena(one, two):
     assert one.models.names == two.models.names
     for name in ("side_a", "side_b", "a_won"):
         assert np.array_equal(getattr(one, name), getattr(two, name))
-    assert one.meta == two.meta and one.stats == two.stats
+    assert one.stats == two.stats
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -144,7 +151,8 @@ def test_utf8_byte_order_mark_is_accepted(tmp_path, fmt):
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     expected = ingest(plain, schema)
-    assert expected.n_matchups == 4 and expected.meta[0] == {"prompt": "hi"}
+    assert expected.n_matchups == 4
+    assert _records_at(plain, schema, [0]) == ({0: ("gpt", "claude", 1, {"prompt": "hi"})}, 4)
     _same_arena(ingest(marked, schema), expected)
     with open(marked, "rb") as fh:
         _same_arena(ingest(fh, schema), expected)
@@ -183,8 +191,14 @@ def test_schema_delimiter_must_be_one_character(delimiter):
 
 
 def test_meta_absent_by_default():
-    arena = ingest(io.StringIO(CSV), SCHEMA)
-    assert arena.meta is None
+    from dataclasses import replace
+
+    text = "model_a,model_b,winner,prompt\n" + "".join(
+        f"{line},p{n}\n" for n, line in enumerate(CSV.splitlines()[1:]))
+    arena = ingest(io.StringIO(text), SCHEMA)
+    assert not hasattr(arena, "meta")
+    for columns in ("all", ("prompt",), ("nope",)):
+        _same_arena(ingest(io.StringIO(text), replace(SCHEMA, meta_columns=columns)), arena)
 
 
 def test_schema_presets_cover_named_datasets():
@@ -207,6 +221,10 @@ def test_schema_from_file_and_label_overlap(tmp_path):
     with pytest.raises(IngestError, match="overlap"):
         IngestSchema(model_a="a", model_b="b", outcome="w",
                      a_wins=("X",), b_wins=("X",))
+    # A lone column name would otherwise be read as a list of its letters.
+    path.write_text(json.dumps({**json.loads(path.read_text()), "meta_columns": "prompt"}))
+    with pytest.raises(IngestError, match='meta_columns must be "all" or a list'):
+        IngestSchema.from_file(path)
 
 
 def test_arena_rejects_self_matches_and_bad_outcomes():

@@ -325,6 +325,28 @@ def test_head_to_head_counts_both_orientations():
     assert (h.wins_a, h.wins_b) == (2, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_models=st.integers(3, 7))
+def test_head_to_head_matches_masks_over_matchups(data, n_models):
+    # The last model never plays, so every pair with it never met.
+    pair = st.lists(st.integers(0, n_models - 2), min_size=2, max_size=2, unique=True)
+    records = data.draw(st.lists(st.tuples(pair, st.integers(0, 1)), min_size=1, max_size=40))
+    arena = Arena.from_records([f"m{k}" for k in range(n_models)],
+                               [(a, b, won) for (a, b), won in records])
+    a, b = data.draw(st.lists(st.integers(0, n_models - 1), min_size=2, max_size=2, unique=True))
+    for x, y in ((a, b), (b, a), (a, n_models - 1)):
+        if x == y:
+            continue
+        forward = (arena.side_a == x) & (arena.side_b == y)
+        backward = (arena.side_a == y) & (arena.side_b == x)
+        wins_x = np.count_nonzero(forward & (arena.a_won == 1) | backward & (arena.a_won == 0))
+        wins_y = np.count_nonzero(forward & (arena.a_won == 0) | backward & (arena.a_won == 1))
+        h = head_to_head(arena, x, y)
+        assert (h.wins_a, h.wins_b) == (wins_x, wins_y)
+        assert h.met == bool(wins_x + wins_y)
+        assert h.win_percent == (wins_x / (wins_x + wins_y) if h.met else None)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_fit_is_deterministic(seed):

@@ -137,6 +137,30 @@ def test_inspect_lists_dropped_matchups_in_order(workspace, capsys):
     assert "write a poem" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_inspect_prints_only_the_schema_columns(capsys, tmp_path, fmt):
+    rows = [line.split(",") + [f"j{n}" if n else "judge"]
+            for n, line in enumerate(FIXTURE_CSV.splitlines())]
+    dataset = tmp_path / f"games.{fmt}"
+    if fmt == "csv":
+        dataset.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    else:
+        dataset.write_text("".join(json.dumps(dict(zip(rows[0], row))) + "\n" for row in rows[1:]),
+                           encoding="utf-8")
+    report = tmp_path / "report.txt"
+    report.write_text("report: min-drop\npair: alpha vs beta\ndropped_indices: 0\n", encoding="utf-8")
+    schema = tmp_path / "schema.json"
+    for columns, printed in (("all", ["judge: j1", "prompt: write a poem"]),
+                             ([], ["judge: j1", "prompt: write a poem"]),
+                             (["prompt"], ["prompt: write a poem"]),
+                             (["judge", "nope"], ["judge: j1"])):
+        schema.write_text(json.dumps(dict(SCHEMA, format=fmt, meta_columns=columns)),
+                          encoding="utf-8")
+        assert main(["inspect", str(report), str(dataset), "--schema", str(schema)]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "[1] matchup 0: alpha vs beta | winner: alpha", *(f"    {line}" for line in printed)]
+
+
 def test_inspect_truncates_long_metadata(workspace, capsys, tmp_path):
     long_csv = "model_a,model_b,winner,prompt\n"
     long_csv += "alpha,beta,model_a," + "x" * 500 + "\n"

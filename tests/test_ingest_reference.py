@@ -2,7 +2,8 @@
 
 The reference is the per-row loop that ``btaudit.arena.ingest`` replaced. Both
 sides must agree on random CSV and JSONL inputs: model names, matchup arrays,
-metadata, row accounting, and the type and message of any error.
+row accounting, and the type and message of any error. The reference's per-row
+metadata must be what ``inspect`` reads for each decisive row.
 """
 
 import csv
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from btaudit import IngestError, IngestSchema, ingest
-from btaudit.arena import Arena, IngestStats, ModelRegistry
+from btaudit.arena import Arena, IngestStats, ModelRegistry, _records_at
 
 SCHEMA = IngestSchema(
     model_a="model_a",
@@ -140,20 +141,46 @@ def reference_ingest(source, schema):
         raise IngestError(f"reference model {schema.reference!r} never appears in the data")
     stats = IngestStats(source_rows=source_rows, decisive=len(side_a), ties=ties,
                         both_bad=both_bad, malformed_skipped=malformed)
-    return Arena(models=ModelRegistry(names), side_a=np.array(side_a, dtype=np.int64),
-                 side_b=np.array(side_b, dtype=np.int64), a_won=np.array(a_won, dtype=np.int64),
-                 meta=tuple(metas) if keep_meta else None, stats=stats)
+    arena = Arena(models=ModelRegistry(names), side_a=np.array(side_a, dtype=np.int64),
+                  side_b=np.array(side_b, dtype=np.int64), a_won=np.array(a_won, dtype=np.int64),
+                  stats=stats)
+    return arena, tuple(metas) if keep_meta else None
 
 
-def _result(read, text, as_bytes, schema):
-    source = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text, newline="")
+def _source(text, as_bytes):
+    return io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text, newline="")
+
+
+def _attempt(call, *args):
     try:
-        arena = read(source, schema)
+        return call(*args)
     except Exception as exc:  # the error itself is what is compared
         return type(exc), str(exc)
-    meta = None if arena.meta is None else [list(m.items()) for m in arena.meta]
+
+
+def _summary(arena, rows):
     arrays = [(a.dtype, a.tolist()) for a in (arena.side_a, arena.side_b, arena.a_won)]
-    return arena.models.names, arrays, meta, arena.stats
+    rows = [(name_a, name_b, a_won, list(meta.items())) for name_a, name_b, a_won, meta in rows]
+    return arena.models.names, arrays, arena.stats, rows
+
+
+def _reference_result(text, as_bytes, schema):
+    # inspect reads every column for (), as the reference keeps them for "all"
+    arena, metas = reference_ingest(_source(text, as_bytes),
+                                    replace(schema, meta_columns=schema.meta_columns or "all"))
+    names = arena.models.names
+    sides = zip(arena.side_a.tolist(), arena.side_b.tolist(), arena.a_won.tolist(), metas)
+    return _summary(arena, [(names[a], names[b], won, meta) for a, b, won, meta in sides])
+
+
+def _result(text, as_bytes, schema):
+    arena = ingest(_source(text, as_bytes), schema)
+    # every decisive index, since a source holds fewer rows than characters
+    records, n_matchups = _records_at(_source(text, as_bytes), schema, range(len(text)))
+    assert n_matchups == arena.n_matchups and sorted(records) == list(range(n_matchups))
+    odd, _ = _records_at(_source(text, as_bytes), schema, range(1, len(text), 2))
+    assert odd == {n: records[n] for n in range(1, n_matchups, 2)}
+    return _summary(arena, [records[n] for n in range(n_matchups)])
 
 
 NAMES = ("a", "b", "c", "a b", "x,y", "x;y", 'q"t', "l\nm", "é")
@@ -252,8 +279,10 @@ def jsonl_inputs(draw):
 def _check(text, schema, as_bytes, bom):
     if bom:
         text = "\ufeff" + text
-    expected = _result(reference_ingest, text, as_bytes, schema)
-    assert _result(ingest, text, as_bytes, schema) == expected
+    expected = _attempt(_reference_result, text, as_bytes, schema)
+    assert _attempt(_result, text, as_bytes, schema) == expected
+    if isinstance(expected[0], type):  # inspect rejects what ingest rejects, in the same words
+        assert _attempt(_records_at, _source(text, as_bytes), schema, ()) == expected
 
 
 REFERENCE_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
