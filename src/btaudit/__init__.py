@@ -26,7 +26,6 @@ from .btmodel import (
     head_to_head,
     ranking,
     refit_without,
-    top_k_set,
 )
 from .influence import (
     SingularHessianError,
@@ -95,5 +94,4 @@ __all__ = [
     "ranking",
     "refit_without",
     "select_drop_set",
-    "top_k_set",
 ]

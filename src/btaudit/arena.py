@@ -484,7 +484,8 @@ def _records_at(source, schema: IngestSchema, wanted: Iterable[int]):
 
     The whole source is read as ``ingest`` reads it, so N and every error are
     ``ingest``'s. Metadata holds the text of each ``meta_columns`` field a row
-    sets; "all" or () selects every column but the model and outcome columns.
+    sets, a JSONL value that is not a string written as JSON; "all" or ()
+    selects every column but the model and outcome columns.
     """
     arena, kept = _read(source, schema, set(wanted))
     names, columns = arena.models.names, schema.meta_columns
@@ -492,7 +493,8 @@ def _records_at(source, schema: IngestSchema, wanted: Iterable[int]):
     records = {}
     for n, rec in kept.items():
         keys = [k for k in rec if k not in not_meta] if columns in ("all", ()) else columns
-        meta = {k: str(v) for k in keys if (v := rec.get(k)) is not None}
+        meta = {k: v if isinstance(v, str) else json.dumps(v, ensure_ascii=False)
+                for k in keys if (v := rec.get(k)) is not None}
         records[n] = names[arena.side_a[n]], names[arena.side_b[n]], int(arena.a_won[n]), meta
     return records, arena.n_matchups
 

@@ -31,7 +31,6 @@ __all__ = [
     "ranking",
     "refit_without",
     "sigmoid",
-    "top_k_set",
 ]
 
 # Score spread beyond this with no ridge signals an unbounded likelihood.
@@ -337,14 +336,11 @@ class Ranking:
     tie_note: tuple[tuple[int, int], ...]
 
 
-def _scores_of(fit_or_scores) -> np.ndarray:
-    if isinstance(fit_or_scores, BtFit):
-        return fit_or_scores.scores
-    return np.asarray(fit_or_scores, dtype=np.float64)
-
-
 def ranking(fit_or_scores) -> Ranking:
-    scores = _scores_of(fit_or_scores)
+    if isinstance(fit_or_scores, BtFit):
+        scores = fit_or_scores.scores
+    else:
+        scores = np.asarray(fit_or_scores, dtype=np.float64)
     order = np.lexsort((np.arange(scores.size), -scores))
     ties = tuple(
         (int(order[r]), int(order[r + 1]))
@@ -352,15 +348,6 @@ def ranking(fit_or_scores) -> Ranking:
         if scores[order[r]] == scores[order[r + 1]]
     )
     return Ranking(order=tuple(int(k) for k in order), tie_note=ties)
-
-
-def top_k_set(fit_or_scores, k: int) -> set[int]:
-    """The k models of highest fitted score; boundary ties go to the lower index."""
-    scores = _scores_of(fit_or_scores)
-    if not 1 <= k < scores.size:
-        raise ValueError(f"k must satisfy 1 <= k < {scores.size}, got {k}")
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return {int(m) for m in order[:k]}
 
 
 @dataclass(frozen=True)

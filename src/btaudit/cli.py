@@ -19,6 +19,7 @@ from .btmodel import FitError, SolverOptions, fit, head_to_head, ranking
 from .influence import influence_scores
 from .oracle import brute_force_pair, finite_difference_influence, generate, random_spec
 from .report import (
+    TOPK_PAIR_COLUMNS,
     leaderboard_rows,
     parse_report,
     render_leaderboard,
@@ -194,12 +195,7 @@ def cmd_check_topk(args) -> int:
             (out / f"{stem}.txt").write_text(
                 render_topk_report(tk, arena, bt, dataset=args.dataset), encoding="utf-8"
             )
-            write_csv(
-                out / f"{stem}_pairs.csv",
-                ["leader", "challenger", "gap_before", "verdict",
-                 "predicted_flip", "refit_performed", "dropped_count"],
-                topk_pair_rows(tk),
-            )
+            write_csv(out / f"{stem}_pairs.csv", TOPK_PAIR_COLUMNS, topk_pair_rows(tk))
             verdict = "robust" if tk.robust else "non-robust"
             print(f"k={k} {budget.label()}: {verdict} ({tk.pairs_checked}/{tk.pairs_total} pairs)")
             any_non_robust = any_non_robust or not tk.robust

@@ -163,19 +163,16 @@ def render_min_drop_report(
     return _render("min-drop", fields)
 
 
+TOPK_PAIR_COLUMNS = ("leader", "challenger", "gap_before", "verdict",
+                     "predicted_flip", "refit_performed", "dropped_count")
+
+
 def topk_pair_rows(tk: TopKReport) -> list[dict]:
-    rows = []
-    for rep in tk.per_pair:
-        rows.append({
-            "leader": rep.pair_names[0],
-            "challenger": rep.pair_names[1],
-            "gap_before": _fmt(rep.gap_before),
-            "verdict": rep.verdict,
-            "predicted_flip": _fmt(rep.predicted_flip),
-            "refit_performed": _fmt(rep.refit_performed),
-            "dropped_count": len(rep.dropped),
-        })
-    return rows
+    """One row per pair checked, keyed by ``TOPK_PAIR_COLUMNS``."""
+    return [dict(zip(TOPK_PAIR_COLUMNS, (
+        rep.pair_names[0], rep.pair_names[1], _fmt(rep.gap_before), rep.verdict,
+        _fmt(rep.predicted_flip), _fmt(rep.refit_performed), len(rep.dropped),
+    ))) for rep in tk.per_pair]
 
 
 def leaderboard_rows(bt: BtFit) -> list[dict]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arena import Arena, PairCells
-from .btmodel import BtFit, refit_without, top_k_set
+from .btmodel import BtFit, ranking, refit_without
 from .influence import _audit_view, pair_influence
 
 __all__ = [
@@ -41,6 +41,11 @@ def reverses(leader_after: float, challenger_after: float) -> bool:
     """True when a refit puts the challenger above the leader by more than rounding."""
     scale = max(1.0, abs(leader_after), abs(challenger_after))
     return bool(leader_after - challenger_after < -_TIE_TOLERANCE * scale)
+
+
+def _predicts_flip(scores_before: tuple[float, float], predicted_delta: float) -> bool:
+    """True when the predicted gap change takes the leader below the challenger."""
+    return scores_before[0] - scores_before[1] + predicted_delta < 0.0
 
 
 @dataclass(frozen=True)
@@ -81,31 +86,32 @@ class DropBudget:
 class RobustnessReport:
     """Verdict for one ordered pair at one drop budget.
 
+    Fields hold what the check measured; the flags and the verdict are derived.
     ``pair`` is normalized so the first model has the weakly higher full-data
     score (exact ties go to the lower index). ``dropped`` is ordered most
-    influential first. The verdict is "non-robust" only when a refit was
-    performed and reversed the ordering beyond rounding. Degenerate refits
-    withhold the verdict: those where every matchup of a pair model was
-    dropped, and those that did not converge.
+    influential first. The last four fields come from the refit and keep their
+    defaults when none ran. The verdict is "non-robust" only when a refit
+    reversed the ordering beyond rounding. Degenerate refits withhold the
+    verdict: those where every matchup of a pair model was dropped, and those
+    that did not converge, whose scores are not a minimizer.
     """
 
     pair: tuple[int, int]
     pair_names: tuple[str, str]
     n_matchups: int
     budget: DropBudget
-    budget_count: int
     method: str
     predicted_delta: float
-    predicted_flip: bool
-    refit_performed: bool
-    refit_flip: bool
     dropped: tuple[int, ...]
     scores_before: tuple[float, float]
-    scores_after: tuple[float, float] | None
-    degenerate: bool
-    refit_unidentified: tuple[int, ...]
-    refit_converged: bool | None
-    refit_iterations: int | None
+    scores_after: tuple[float, float] | None = None
+    refit_unidentified: tuple[int, ...] = ()
+    refit_converged: bool | None = None
+    refit_iterations: int | None = None
+
+    @property
+    def budget_count(self) -> int:
+        return self.budget.resolve(self.n_matchups)
 
     @property
     def gap_before(self) -> float:
@@ -122,28 +128,68 @@ class RobustnessReport:
         return len(self.dropped) / self.n_matchups
 
     @property
+    def predicted_flip(self) -> bool:
+        return _predicts_flip(self.scores_before, self.predicted_delta)
+
+    @property
+    def refit_performed(self) -> bool:
+        return self.scores_after is not None
+
+    @property
+    def refit_flip(self) -> bool:
+        return self.scores_after is not None and reverses(*self.scores_after)
+
+    @property
+    def degenerate(self) -> bool:
+        ia, ib = self.pair
+        return self.refit_converged is False or ia in self.refit_unidentified or ib in self.refit_unidentified
+
+    @property
     def verdict(self) -> str:
         if self.degenerate:
             return "degenerate"
-        if self.refit_performed and self.refit_flip:
+        if self.refit_flip:
             return "non-robust"
         return "robust"
 
 
 @dataclass(frozen=True)
 class TopKReport:
-    """Outcome of a top-k audit: robust, or the first verified offending pair."""
+    """Outcome of a top-k audit: robust, or the first verified offending pair.
+
+    ``per_pair`` holds the report of each pair checked, in order, and is never
+    empty. The audit stops at the first non-robust pair, so the outcome and the
+    counts are derived from those reports.
+    """
 
     k: int
     budget: DropBudget
-    budget_count: int
-    robust: bool
-    offending_pair: tuple[int, int] | None
-    pairs_checked: int
     pairs_total: int
     per_pair: tuple[RobustnessReport, ...]
-    dropped: tuple[int, ...]
-    degenerate_pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def budget_count(self) -> int:
+        return self.per_pair[0].budget_count
+
+    @property
+    def robust(self) -> bool:
+        return self.per_pair[-1].verdict != "non-robust"
+
+    @property
+    def offending_pair(self) -> tuple[int, int] | None:
+        return None if self.robust else self.per_pair[-1].pair
+
+    @property
+    def dropped(self) -> tuple[int, ...]:
+        return () if self.robust else self.per_pair[-1].dropped
+
+    @property
+    def pairs_checked(self) -> int:
+        return len(self.per_pair)
+
+    @property
+    def degenerate_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(r.pair for r in self.per_pair if r.degenerate)
 
 
 def _canonical_pair(bt: BtFit, a, b) -> tuple[int, int]:
@@ -217,32 +263,20 @@ def check_pair(
     on the reported indices reproduces the reported outcome bit for bit.
     """
     ia, ib = _canonical_pair(bt, a, b)
-    scores_before = (float(bt.scores[ia]), float(bt.scores[ib]))
+    before = float(bt.scores[ia]), float(bt.scores[ib])
     count = budget.resolve(arena.n_matchups)
 
     cells = bt.arena.cells
     scores = pair_influence(bt, ia, ib, method=method)
     dropped = select_drop_set(scores, cells, count)
-    predicted_delta = float(-scores[cells.row_class[dropped]].sum()) if dropped.size else 0.0
-    predicted_flip = bool(scores_before[0] - scores_before[1] + predicted_delta < 0.0)
+    delta = float(-scores[cells.row_class[dropped]].sum()) if dropped.size else 0.0
 
-    refit_performed = False
-    refit_flip = False
-    scores_after = None
-    degenerate = False
-    unidentified: tuple[int, ...] = ()
-    refit_converged = None
-    refit_iterations = None
-    if dropped.size and (predicted_flip or always_refit):
-        refit = refit_without(arena, bt.options, dropped)
-        refit_performed = True
-        scores_after = (float(refit.scores[ia]), float(refit.scores[ib]))
-        refit_flip = reverses(*scores_after)
-        unidentified = refit.unidentified
-        # An unconverged refit's scores are not a minimizer, so its verdict is withheld.
-        degenerate = ia in unidentified or ib in unidentified or not refit.converged
-        refit_converged = refit.converged
-        refit_iterations = refit.iterations
+    refit = {}
+    if dropped.size and (always_refit or _predicts_flip(before, delta)):
+        after = refit_without(arena, bt.options, dropped)
+        refit = dict(scores_after=(float(after.scores[ia]), float(after.scores[ib])),
+                     refit_unidentified=after.unidentified, refit_converged=after.converged,
+                     refit_iterations=after.iterations)
 
     names = bt.arena.models.names
     return RobustnessReport(
@@ -250,19 +284,11 @@ def check_pair(
         pair_names=(names[ia], names[ib]),
         n_matchups=arena.n_matchups,
         budget=budget,
-        budget_count=count,
         method=method,
-        predicted_delta=predicted_delta,
-        predicted_flip=predicted_flip,
-        refit_performed=refit_performed,
-        refit_flip=refit_flip,
+        predicted_delta=delta,
         dropped=tuple(dropped.tolist()),
-        scores_before=scores_before,
-        scores_after=scores_after,
-        degenerate=degenerate,
-        refit_unidentified=unidentified,
-        refit_converged=refit_converged,
-        refit_iterations=refit_iterations,
+        scores_before=before,
+        **refit,
     )
 
 
@@ -281,47 +307,42 @@ def check_topk(
     the first pair checked straddles the k boundary. The audit stops at the
     first verified non-robust pair; otherwise all k(M-k) pairs are examined.
     """
-    inside = top_k_set(bt, k)
-    outside = [m for m in range(arena.n_models) if m not in inside]
-    order = sorted(
-        ((abs(float(bt.scores[i] - bt.scores[j])), i, j) for i in inside for j in outside)
+    order = ranking(bt).order
+    if not 1 <= k < len(order):
+        raise ValueError(f"k must satisfy 1 <= k < {len(order)}, got {k}")
+    budget.resolve(arena.n_matchups)  # a budget that does not fit fails before any work
+    pairs = sorted(
+        (abs(float(bt.scores[i] - bt.scores[j])), i, j) for i in order[:k] for j in order[k:]
     )
-    pairs_total = len(order)
-    count = budget.resolve(arena.n_matchups)
 
     view = _audit_view(bt)  # each model's influence is computed once per call
     reports: list[RobustnessReport] = []
-    offending: RobustnessReport | None = None
-    for _, i, j in order:
-        rep = check_pair(arena, view, i, j, budget, method=method, always_refit=always_refit)
-        reports.append(rep)
-        if rep.verdict == "non-robust":
-            offending = rep
+    for _, i, j in pairs:
+        reports.append(check_pair(arena, view, i, j, budget, method=method, always_refit=always_refit))
+        if reports[-1].verdict == "non-robust":
             break
-
-    degenerate_pairs = tuple(r.pair for r in reports if r.degenerate)
-    return TopKReport(
-        k=k,
-        budget=budget,
-        budget_count=count,
-        robust=offending is None,
-        offending_pair=offending.pair if offending else None,
-        pairs_checked=len(reports),
-        pairs_total=pairs_total,
-        per_pair=tuple(reports),
-        dropped=offending.dropped if offending else (),
-        degenerate_pairs=degenerate_pairs,
-    )
+    return TopKReport(k=k, budget=budget, pairs_total=len(pairs), per_pair=tuple(reports))
 
 
 @dataclass(frozen=True)
 class MinDropResult:
-    """Smallest verified flipping budget, or an explicit not-found marker."""
+    """Smallest verified flipping budget, or an explicit not-found marker.
 
-    found: bool
-    count: int | None
+    ``report`` is the check at the last budget tried (None when no budget fits
+    the arena). The search stops at the first flip, so ``found`` and ``count``
+    are derived from it.
+    """
+
     report: RobustnessReport | None
     budgets_tried: int
+
+    @property
+    def found(self) -> bool:
+        return self.report is not None and self.report.verdict == "non-robust"
+
+    @property
+    def count(self) -> int | None:
+        return self.report.budget_count if self.found else None
 
 
 def min_drop_search(
@@ -342,18 +363,14 @@ def min_drop_search(
     if max_budget < 1:
         raise ValueError("max_budget must be at least 1")
     last: RobustnessReport | None = None
-    tried = 0
+    count = 0  # budgets run 1, 2, ..., so the last count is the number tried
     budgets = range(1, min(max_budget, arena.n_matchups - 1) + 1)
     view = _audit_view(bt) if budgets else bt  # the pair's influence is computed once
     for count in budgets:
-        tried += 1
-        rep = check_pair(
-            arena, view, a, b, DropBudget(count=count), method=method, always_refit=True
-        )
-        last = rep
-        if rep.verdict == "non-robust":
-            return MinDropResult(found=True, count=count, report=rep, budgets_tried=tried)
-    return MinDropResult(found=False, count=None, report=last, budgets_tried=tried)
+        last = check_pair(arena, view, a, b, DropBudget(count=count), method=method, always_refit=True)
+        if last.verdict == "non-robust":
+            break
+    return MinDropResult(report=last, budgets_tried=count)
 
 
 def involvement_composition(report: RobustnessReport, arena: Arena) -> tuple[float, float, float]:

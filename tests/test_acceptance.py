@@ -30,7 +30,6 @@ from btaudit import (
     random_spec,
     ranking,
     refit_without,
-    top_k_set,
 )
 from conftest import RIDGELESS, newton_rows, round_robin_spec, two_player_arena
 
@@ -179,7 +178,7 @@ def test_topk_dominance_characterization_suite():
         m = int(rng.integers(2, 9))
         scores = rng.standard_normal(m)
         k = int(rng.integers(1, m))
-        chosen = top_k_set(scores, k)
+        chosen = set(ranking(scores).order[:k])
         dominant = None
         for subset in itertools.combinations(range(m), k):
             inside = set(subset)

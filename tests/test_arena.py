@@ -111,20 +111,27 @@ def test_jsonl_ingest_with_meta(tmp_path):
         {"model_a": "a", "model_b": "b", "winner": "model_a", "prompt": "hi", "judge": "human"},
         {"model_a": "b", "model_b": "a", "winner": "model_b", "prompt": "yo", "judge": "gpt4"},
         {"model_a": "a", "model_b": "b", "winner": "tie"},
+        {"model_a": "a", "model_b": "b", "winner": "model_a", "judge": {"k": 1, "by": "é"},
+         "flagged": True, "score": 2.5, "prompt": None},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
     schema = replace(SCHEMA, format="jsonl", meta_columns="all")
     arena = ingest(path, schema)
-    assert arena.n_matchups == 2
-    records, n_matchups = _records_at(path, schema, [0, 1])
-    assert n_matchups == 2
+    assert arena.n_matchups == 3
+    records, n_matchups = _records_at(path, schema, [0, 1, 2])
+    assert n_matchups == 3
     assert records[0] == ("a", "b", 1, {"prompt": "hi", "judge": "human"})
     assert records[1] == ("b", "a", 0, {"prompt": "yo", "judge": "gpt4"})
+    # values that are not strings print as JSON; a null is omitted, as a missing field is
+    assert records[2] == ("a", "b", 1, {"judge": '{"k": 1, "by": "é"}', "flagged": "true",
+                                        "score": "2.5"})
     assert _records_at(path, replace(schema, meta_columns=("judge",)), [1])[0] == {
         1: ("b", "a", 0, {"judge": "gpt4"})}
+    assert _records_at(path, replace(schema, meta_columns=("prompt", "flagged")), [2])[0] == {
+        2: ("a", "b", 1, {"flagged": "true"})}
     assert arena.a_won[1] == 0
     # metadata never influences fitting inputs
-    assert list(arena.a_won) == [1, 0]
+    assert list(arena.a_won) == [1, 0, 1]
     _same_arena(ingest(path, replace(schema, meta_columns=())), arena)
 
 

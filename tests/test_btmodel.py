@@ -14,7 +14,6 @@ from btaudit import (
     random_spec,
     ranking,
     refit_without,
-    top_k_set,
 )
 from btaudit.btmodel import sigmoid
 from conftest import RIDGELESS, bench_inputs, round_robin_spec, two_player_arena
@@ -271,17 +270,13 @@ def test_warm_start_converges_immediately():
 
 def test_top_k_set_examples():
     scores = np.array([0.0, 2.0, 1.0])
-    assert top_k_set(scores, 1) == {1}
-    assert top_k_set(scores, 2) == {1, 2}
-    with pytest.raises(ValueError):
-        top_k_set(scores, 0)
-    with pytest.raises(ValueError):
-        top_k_set(scores, 3)
+    assert set(ranking(scores).order[:1]) == {1}
+    assert set(ranking(scores).order[:2]) == {1, 2}
 
 
 def test_top_k_boundary_ties_prefer_lower_index():
     scores = np.array([0.0, 1.0, 1.0, 1.0])
-    assert top_k_set(scores, 2) == {1, 2}
+    assert set(ranking(scores).order[:2]) == {1, 2}
 
 
 @given(
@@ -294,7 +289,7 @@ def test_top_k_boundary_ties_prefer_lower_index():
 def test_top_k_dominance_characterization(scores, data):
     scores = np.array(scores)
     k = data.draw(st.integers(1, scores.size - 1))
-    chosen = top_k_set(scores, k)
+    chosen = set(ranking(scores).order[:k])
     for i in chosen:
         for j in set(range(scores.size)) - chosen:
             assert scores[i] > scores[j] or (scores[i] == scores[j] and i < j)

@@ -53,6 +53,11 @@ def _reference_rows(stream, fmt, schema):
             yield lineno, rec if isinstance(rec, dict) else None
 
 
+def _text(value):
+    """How inspect prints a metadata value: a string as is, anything else as JSON."""
+    return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
+
+
 def reference_ingest(source, schema):
     label_kind = {}
     for label in schema.a_wins:
@@ -127,10 +132,10 @@ def reference_ingest(source, schema):
         if keep_meta:
             if schema.meta_columns == "all":
                 skip = {schema.model_a, schema.model_b, schema.outcome}
-                extra = {k: str(v) for k, v in rec.items()
+                extra = {k: _text(v) for k, v in rec.items()
                          if k is not None and k not in skip and v is not None}
             else:
-                extra = {k: str(rec[k]) for k in schema.meta_columns if rec.get(k) is not None}
+                extra = {k: _text(rec[k]) for k in schema.meta_columns if rec.get(k) is not None}
             metas.append(extra)
 
     if not side_a:

@@ -26,7 +26,6 @@ from btaudit import (
     ranking,
     refit_without,
     select_drop_set,
-    top_k_set,
 )
 from btaudit import robustness as robustness_mod
 from btaudit.robustness import reverses
@@ -278,12 +277,16 @@ def test_check_topk_early_termination_and_offender():
     tk = check_topk(arena, bt, 1, DropBudget(count=3), always_refit=True)
     assert not tk.robust
     assert tk.pairs_checked == 1  # stops on the first verified flip
-    assert tk.offending_pair[0] in top_k_set(bt, 1)
-    assert tk.offending_pair[1] not in top_k_set(bt, 1)
+    top_1 = set(ranking(bt).order[:1])
+    assert tk.offending_pair[0] in top_1
+    assert tk.offending_pair[1] not in top_1
     assert 0 < len(tk.dropped) <= 3
     # the refit behind the verdict really changes the top-k set
     refit = refit_without(arena, bt.options, tk.dropped)
-    assert top_k_set(refit, 1) != top_k_set(bt, 1)
+    assert set(ranking(refit).order[:1]) != top_1
+    for k in (0, 3):  # k must leave a model on each side: 1 <= k < M
+        with pytest.raises(ValueError, match="k must satisfy"):
+            check_topk(arena, bt, k, DropBudget(count=3))
 
 
 def test_min_drop_search_finds_three(arena_3_1):
@@ -305,17 +308,70 @@ def test_min_drop_not_found_marker():
     assert result.report is not None and result.report.verdict == "robust"
 
 
+def _assert_stored_formulas(rep, always_refit):
+    """The derived report fields equal the formulas that filled them in when they were stored."""
+    ia, ib = rep.pair
+    predicted_flip = bool(rep.scores_before[0] - rep.scores_before[1] + rep.predicted_delta < 0.0)
+    refit_performed = bool(rep.dropped) and (predicted_flip or always_refit)
+    refit_flip = refit_performed and reverses(*rep.scores_after)
+    degenerate = refit_performed and (
+        ia in rep.refit_unidentified or ib in rep.refit_unidentified or not rep.refit_converged
+    )
+    assert rep.budget_count == rep.budget.resolve(rep.n_matchups)
+    assert rep.predicted_flip is predicted_flip
+    assert rep.refit_performed is refit_performed
+    assert rep.refit_flip is refit_flip
+    assert rep.degenerate is degenerate
+    if not refit_performed:
+        assert rep.scores_after is None and rep.refit_unidentified == ()
+        assert rep.refit_converged is None and rep.refit_iterations is None
+    if degenerate:
+        assert rep.verdict == "degenerate"
+    else:
+        assert rep.verdict == ("non-robust" if refit_performed and refit_flip else "robust")
+
+
 def test_min_drop_monotone_against_verified_flips():
-    for seed in range(40, 52):
-        spec = random_spec(seed, target_matchups=18)
-        arena = generate(spec)
+    # Also checks the invariants that the derived top-k and min-drop outcomes rest on. In
+    # the last arena the closest top-1 pair (a, b) is robust and the next one, (a, c), flips.
+    arenas = [generate(random_spec(seed, target_matchups=18)) for seed in range(40, 52)]
+    arenas.append(Arena.from_records(
+        ["a", "b", "c"], [(0, 1, 1)] * 60 + [(0, 1, 0)] * 40 + [(2, 1, 1)] + [(2, 1, 0)] * 2
+    ))
+    verdicts = set()
+    late_offenders = 0
+    for arena in arenas:
         bt = fit(arena)
         first, second = ranking(bt).order[:2]
-        rep = check_pair(arena, bt, first, second, DropBudget(count=3), always_refit=True)
-        if rep.verdict != "non-robust":
-            continue
-        result = min_drop_search(arena, bt, first, second, max_budget=3)
-        assert result.found and result.count <= 3
+        for method in ("if", "newton"):
+            for always_refit in (False, True):
+                for k in range(1, arena.n_models):
+                    tk = check_topk(arena, bt, k, DropBudget(count=3), method=method,
+                                    always_refit=always_refit)
+                    for rep in tk.per_pair:
+                        _assert_stored_formulas(rep, always_refit)
+                        verdicts.add(rep.verdict)
+                    # the audit stops at the first non-robust pair
+                    assert all(r.verdict != "non-robust" for r in tk.per_pair[:-1])
+                    offending = tk.per_pair[-1] if tk.per_pair[-1].verdict == "non-robust" else None
+                    assert tk.robust is (offending is None)
+                    assert tk.offending_pair == (offending.pair if offending else None)
+                    assert tk.dropped == (offending.dropped if offending else ())
+                    assert tk.pairs_checked == len(tk.per_pair)
+                    assert tk.pairs_total == k * (arena.n_models - k)
+                    assert tk.degenerate_pairs == tuple(r.pair for r in tk.per_pair if r.degenerate)
+                    assert tk.budget_count == DropBudget(count=3).resolve(arena.n_matchups)
+                    late_offenders += offending is not None and tk.pairs_checked > 1
+            result = min_drop_search(arena, bt, first, second, max_budget=3, method=method)
+            _assert_stored_formulas(result.report, True)
+            assert result.found is (result.report.verdict == "non-robust")
+            assert (result.count == result.report.budget_count) is result.found
+            assert result.count == (result.budgets_tried if result.found else None)
+            rep = check_pair(arena, bt, first, second, DropBudget(count=3), method=method,
+                             always_refit=True)
+            if rep.verdict == "non-robust":
+                assert result.found and result.count <= 3
+    assert verdicts == {"robust", "non-robust"} and late_offenders
 
 
 def test_oracle_containment_on_small_arenas():
