@@ -183,13 +183,20 @@ class Arena:
 
     @cached_property
     def cells(self) -> PairCells:
-        """Pair cells and each matchup's class; built once per arena."""
+        """Pair cells and each matchup's class; built once per arena.
+
+        The cells are the occupied keys ``lo * M + hi``, found by counting: M² counters,
+        the size of the solver's dense curvature matrix.
+        """
         m = self.n_models
         lo = np.minimum(self.side_a, self.side_b)
-        keys, cell = np.unique(lo * m + np.maximum(self.side_a, self.side_b), return_inverse=True)
+        key = lo * m + np.maximum(self.side_a, self.side_b)
+        occupied = np.bincount(key, minlength=m * m) > 0
+        keys = np.flatnonzero(occupied)
+        cell = (np.cumsum(occupied) - 1)[key]
         lo_won = np.where(self.side_a == lo, self.a_won, 1 - self.a_won)
         lo, hi = keys // m, keys % m
-        cells = PairCells(lo=lo, hi=hi, row_class=2 * cell.reshape(-1) + lo_won,
+        cells = PairCells(lo=lo, hi=hi, row_class=2 * cell + lo_won,
                           slots=np.stack([keys, hi * m + lo]))
         for arr in (cells.lo, cells.hi, cells.row_class, cells.slots):
             arr.flags.writeable = False

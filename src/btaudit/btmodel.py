@@ -239,6 +239,144 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
     return theta, reason, iterations, gnorm
 
 
+# The same loop over a stack of weightings. Every row performs the floating-point
+# operations of ``_minimize`` in the same order: sums per row go through one
+# ``bincount`` with row offsets (the same order of addition per bin), dot products
+# through ``np.vecdot`` on rows with the single solve's strides, and ``exp`` sees
+# contiguous arrays, so each row's results are bit-identical to its own ``_minimize``.
+
+def _bincount_rows(idx, weights, length: int) -> np.ndarray:
+    """``np.bincount(idx, weights=row, minlength=length)`` for each row of ``weights``, in one call."""
+    rows = weights.shape[0]
+    bins = (np.arange(rows)[:, None] * length + idx).ravel()
+    return np.bincount(bins, weights=weights.ravel(), minlength=rows * length).reshape(rows, length)
+
+
+def _values(z, theta, wins, total, ridge) -> np.ndarray:
+    """``_value`` for each row of a stack."""
+    val = np.vecdot(total, np.logaddexp(0.0, z)) - np.vecdot(wins, z)
+    if ridge:
+        free = theta[:, 1:]
+        val = val + 0.5 * ridge * np.vecdot(free, free)
+    return val
+
+
+def _directions(cells: PairCells, total, p, g, ridge, n_models):
+    """``_direction`` for each row of a stack: one stacked solve, ``_direction`` where it fails."""
+    off = total * p * (p - 1.0)
+    h = np.zeros((off.shape[0], n_models * n_models))
+    upper, lower = cells.slots
+    h[:, upper] = off
+    h[:, lower] = off
+    diag = _bincount_rows(cells.lo, off, n_models) + _bincount_rows(cells.hi, off, n_models)
+    h[:, :: n_models + 1] = ridge - diag
+    h = h.reshape(-1, n_models, n_models)[:, 1:, 1:]
+    try:
+        d = np.linalg.solve(h, -g[:, :, None])[:, :, 0]
+        slope = np.vecdot(g, d)
+        redo = np.flatnonzero(~(np.isfinite(d).all(axis=1) & (slope < 0)))
+    except np.linalg.LinAlgError:
+        d, slope = np.empty_like(g), np.empty(g.shape[0])
+        redo = range(g.shape[0])
+    for i in redo:
+        d[i], slope[i] = _direction(h[i], g[i])
+    return d, slope
+
+
+def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: SolverOptions):
+    """``_minimize`` from a cold start for each row of the class weights ``cws``, all at once.
+
+    Rows leave the stack as they stop, so the rows still in it share one
+    iteration count. Returns (theta, stop_reason, iterations, gradient_norm), one
+    entry per row; where ``_minimize`` would raise on a non-finite gradient the
+    row's stop reason is None.
+    """
+    n_rows = cws.shape[0]
+    lo, hi = cells.lo, cells.hi
+    ridge, tol = options.ridge, options.tol
+    out_theta = np.zeros((n_rows, n_models))
+    out_reason: list[str | None] = [None] * n_rows
+    out_iterations = np.zeros(n_rows, dtype=np.int64)
+    out_gnorm = np.zeros(n_rows)
+
+    def retire(idx, reasons):
+        """Record the rows at positions ``idx`` as stopped at the current iterate."""
+        for i, reason in zip(idx, reasons):
+            out_reason[rows[i]] = reason
+        out_theta[rows[idx]] = theta[idx]
+        out_iterations[rows[idx]] = iterations
+        out_gnorm[rows[idx]] = gnorm[idx]
+
+    rows = np.arange(n_rows)
+    cw = cws
+    theta = np.zeros((n_rows, n_models))
+    z = theta[:, lo] - theta[:, hi]
+    f = np.zeros(n_rows)
+    known = np.zeros(n_rows, dtype=bool)  # whether f holds the objective at theta
+    iterations = 0
+
+    while rows.size:
+        total = cw[:, 1::2] + cw[:, 0::2]
+        p = sigmoid(z)
+        r = total * p - cw[:, 1::2]
+        g = _bincount_rows(lo, r, n_models) - _bincount_rows(hi, r, n_models)
+        g = g[:, 1:]
+        if ridge:
+            g = g + ridge * theta[:, 1:]
+        gnorm = np.abs(g).max(axis=1)
+
+        reason = np.full(rows.size, "", dtype=object)
+        reason[gnorm <= tol] = "tol"
+        if iterations >= options.max_iter:
+            reason[reason == ""] = "max_iter"
+        elif ridge == 0.0:
+            reason[(reason == "") & (np.abs(theta).max(axis=1) > _DIVERGENCE_BOUND)] = "divergence"
+        reason[~np.isfinite(gnorm)] = None
+        go = reason == ""
+        if not go.all():
+            retire(np.flatnonzero(~go), reason[~go])
+            rows, cw, theta, z, f, known, total, p, g, gnorm = (
+                a[go] for a in (rows, cw, theta, z, f, known, total, p, g, gnorm))
+            if not rows.size:
+                break
+
+        d, slope = _directions(cells, total, p, g, ridge, n_models)
+        reach = np.abs(d).max(axis=1)
+        basin = (gnorm <= _PURE_NEWTON_GRAD) & (reach <= 1.0)
+        fresh = ~basin & ~known
+        if fresh.any():
+            f[fresh] = _values(z[fresh], theta[fresh], cw[fresh][:, 1::2], total[fresh], ridge)
+        basin |= (-slope <= _LINE_SEARCH_RESOLUTION * np.abs(f)) & (reach <= 1.0)
+
+        theta[basin, 1:] += d[basin]
+        moved = theta[basin]
+        z[basin] = moved[:, lo] - moved[:, hi]
+        known[basin] = False
+
+        # Line searches in lockstep: each row still searching halves its own step.
+        search = np.flatnonzero(~basin)
+        step = np.ones(search.size)
+        for _ in range(_MAX_HALVINGS):
+            if not search.size:
+                break
+            cand = theta[search]
+            cand[:, 1:] += step[:, None] * d[search]
+            z_cand = cand[:, lo] - cand[:, hi]
+            f_cand = _values(z_cand, cand, cw[search][:, 1::2], total[search], ridge)
+            ok = f_cand <= f[search] + _ARMIJO * step * slope[search]
+            done = search[ok]
+            theta[done], z[done], f[done], known[done] = cand[ok], z_cand[ok], f_cand[ok], True
+            search, step = search[~ok], step[~ok] * 0.5
+        if search.size:  # the line-search floor, reached before the gradient tolerance
+            retire(search, ["line_search_floor"] * search.size)
+            go = np.ones(rows.size, dtype=bool)
+            go[search] = False
+            rows, cw, theta, z, f, known = (a[go] for a in (rows, cw, theta, z, f, known))
+        iterations += 1
+
+    return out_theta, out_reason, out_iterations, out_gnorm
+
+
 def fit(
     arena: Arena,
     weighting: np.ndarray | None = None,
@@ -300,11 +438,6 @@ def _fit_classes(arena: Arena, cw: np.ndarray, options: SolverOptions, warm_star
         unidentified=unidentified,
         stop_reason=stop_reason,
     )
-
-
-def _fit_scores(arena: Arena, w: np.ndarray, options: SolverOptions) -> np.ndarray:
-    """Scores alone; collapses ``w`` row by row, a check on ``refit_without``'s subtraction."""
-    return _minimize(arena.cells, arena.cells.class_weights(w), arena.n_models, options, None)[0]
 
 
 def refit_without(arena: Arena, options: SolverOptions, drop_indices: Sequence[int]) -> BtFit:

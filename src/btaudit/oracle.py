@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .arena import Arena
-from .btmodel import BtFit, FitError, SolverOptions, _fit_scores, fit, sigmoid
+from .btmodel import BtFit, FitError, SolverOptions, _bincount_rows, _minimize_stack, fit, sigmoid
 from .robustness import _canonical_pair, reverses
 
 __all__ = [
@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 _MAX_BRUTE_BUDGET = 4
+# Subsets are refit together in chunks: the first holds 64 of them, each next one
+# twice as many, until the chunk's dense curvature matrices, 0/1 row weights and
+# their bin numbers (8 * (M² + 2N) bytes a subset) would pass this many bytes.
+_FIRST_CHUNK = 64
+_STACK_BYTES = 1 << 20
 
 
 class EnumerationCapError(RuntimeError):
@@ -111,6 +116,12 @@ def random_spec(
 
 @dataclass(frozen=True)
 class BruteForceResult:
+    """The exhaustive search's answer.
+
+    ``refits_performed`` counts the subsets refit, in enumeration order, up to
+    and including the answer, or all of them when none flips.
+    """
+
     flip_exists: bool
     minimal_subset: tuple[int, ...] | None
     refits_performed: int
@@ -128,7 +139,11 @@ def brute_force_pair(
 
     Returns the smallest flipping subset, lexicographically first among the
     minimal ones, or flip_exists=False. Enumeration beyond the refit cap is
-    refused outright, never silently truncated.
+    refused outright, never silently truncated. Subsets of each size are refit
+    in lexicographic order, a chunk at a time, as one stacked solve whose rows
+    are bit-identical to single refits; ``refits_performed`` counts the subsets
+    up to and including the answer (all of them when none flips), not the rows
+    a chunk solved past it.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -150,17 +165,28 @@ def brute_force_pair(
 
     # Cold starts and the flip test match the refit-verification procedure:
     # exactly symmetric reduced datasets land on score ties, and a tie is not a flip.
-    w = np.ones(n)
+    # Class weights come from each subset's 0/1 row weights, not from refit_without's
+    # subtraction, so the oracle stays an independent check of it.
+    cells, m = arena.cells, arena.n_models
+    cap = max(1, _STACK_BYTES // (8 * (m * m + 2 * n)))
     performed = 0
     for size in sizes:
-        for subset in itertools.combinations(range(n), size):
-            idx = list(subset)
-            w[idx] = 0.0
-            scores = _fit_scores(arena, w, options)
-            w[idx] = 1.0
-            performed += 1
-            if reverses(float(scores[ia]), float(scores[ib])):
-                return BruteForceResult(True, subset, performed)
+        subsets = itertools.combinations(range(n), size)
+        chunk = min(_FIRST_CHUNK, cap)
+        while block := list(itertools.islice(subsets, chunk)):
+            w = np.ones((len(block), n))
+            w[np.arange(len(block))[:, None], block] = 0.0
+            cws = _bincount_rows(cells.row_class, w, 2 * cells.n_cells)
+            scores, reasons, _, _ = _minimize_stack(cells, cws, m, options)
+            for subset, reason, lead, chase in zip(
+                block, reasons, scores[:, ia].tolist(), scores[:, ib].tolist()
+            ):
+                if reason is None:
+                    raise FitError(f"the refit without matchups {subset} met non-finite values")
+                performed += 1
+                if reverses(lead, chase):
+                    return BruteForceResult(True, subset, performed)
+            chunk = min(2 * chunk, cap)
     return BruteForceResult(False, None, performed)
 
 

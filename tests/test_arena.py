@@ -274,3 +274,28 @@ def test_registry_resolves_names_and_integer_indices_only():
 def test_occurrence_counts_sum_to_twice_n(arena_3_1):
     counts = arena_3_1.occurrence_counts()
     assert counts.sum() == 2 * arena_3_1.n_matchups
+
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cells_match_a_sort_of_the_pair_keys(seed):
+    # The construction by np.unique that cells used to have is the reference.
+    # Most arenas leave some models unused; the last has no matchups at all.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 30))
+    used = rng.choice(m, size=max(2, m // (1 + seed % 3)), replace=False)
+    n = 0 if seed == 11 else int(rng.integers(1, 400))
+    side_a, side_b = rng.choice(used, n), rng.choice(used, n)
+    keep = side_a != side_b
+    arena = Arena(ModelRegistry([f"m{k}" for k in range(m)]), side_a[keep], side_b[keep],
+                  rng.integers(0, 2, int(keep.sum())))
+    lo = np.minimum(arena.side_a, arena.side_b)
+    keys, cell = np.unique(lo * m + np.maximum(arena.side_a, arena.side_b), return_inverse=True)
+    lo_won = np.where(arena.side_a == lo, arena.a_won, 1 - arena.a_won)
+    cells = arena.cells
+    for got, want in ((cells.lo, keys // m), (cells.hi, keys % m),
+                      (cells.row_class, 2 * cell.reshape(-1) + lo_won),
+                      (cells.slots, np.stack([keys, (keys % m) * m + keys // m]))):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

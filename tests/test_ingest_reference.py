@@ -260,7 +260,9 @@ def jsonl_inputs(draw):
     for _ in range(draw(st.integers(0, 12))):
         if not _rare(draw):
             rec = draw(fields())
-            rec.update(prompt=draw(st.sampled_from(TEXT)), judge=draw(st.sampled_from(TEXT)))
+            # Metadata values of any JSON type reach the reference's _text.
+            rec.update(prompt=draw(st.sampled_from(TEXT + JSON_VALUES)),
+                       judge=draw(st.sampled_from(TEXT + JSON_VALUES)))
             if _rare(draw):
                 rec[draw(st.sampled_from(sorted(rec)))] = draw(st.sampled_from(JSON_VALUES))
             if _rare(draw):

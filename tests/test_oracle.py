@@ -1,7 +1,11 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
 from btaudit import (
+    Arena,
     EnumerationCapError,
     SolverOptions,
     SynthSpec,
@@ -10,8 +14,70 @@ from btaudit import (
     fit,
     generate,
     random_spec,
+    ranking,
 )
+from btaudit.btmodel import _minimize
+from btaudit.oracle import _MAX_BRUTE_BUDGET, BruteForceResult
+from btaudit.robustness import _canonical_pair, reverses
 from conftest import RIDGELESS, two_player_arena
+
+
+# ---- reference: the exhaustive search as one refit per subset, kept verbatim ----
+
+def _fit_scores(arena: Arena, w: np.ndarray, options: SolverOptions) -> np.ndarray:
+    """Scores alone; collapses ``w`` row by row, a check on ``refit_without``'s subtraction."""
+    return _minimize(arena.cells, arena.cells.class_weights(w), arena.n_models, options, None)[0]
+
+
+def reference_brute_force_pair(
+    arena: Arena,
+    a: int | str,
+    b: int | str,
+    budget: int,
+    options: SolverOptions | None = None,
+    max_refits: int = 2_000_000,
+) -> BruteForceResult:
+    """Exhaustively refit over every subset of at most ``budget`` matchups.
+
+    Returns the smallest flipping subset, lexicographically first among the
+    minimal ones, or flip_exists=False. Enumeration beyond the refit cap is
+    refused outright, never silently truncated.
+    """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    if budget > _MAX_BRUTE_BUDGET:
+        raise ValueError(f"budget {budget} above the exhaustive-search limit ({_MAX_BRUTE_BUDGET})")
+    options = options or SolverOptions()
+
+    ia, ib = _canonical_pair(fit(arena, options=options), a, b)
+
+    n = arena.n_matchups
+    if budget == 0:
+        return BruteForceResult(False, None, 0)
+    sizes = range(1, min(budget, n - 1) + 1)
+    total = sum(comb(n, s) for s in sizes)
+    if total > max_refits:
+        raise EnumerationCapError(
+            f"{total} refits needed for N={n}, budget={budget}; cap is {max_refits}"
+        )
+
+    # Cold starts and the flip test match the refit-verification procedure:
+    # exactly symmetric reduced datasets land on score ties, and a tie is not a flip.
+    w = np.ones(n)
+    performed = 0
+    for size in sizes:
+        for subset in itertools.combinations(range(n), size):
+            idx = list(subset)
+            w[idx] = 0.0
+            scores = _fit_scores(arena, w, options)
+            w[idx] = 1.0
+            performed += 1
+            if reverses(float(scores[ia]), float(scores[ib])):
+                return BruteForceResult(True, subset, performed)
+    return BruteForceResult(False, None, performed)
+
+
+# ---- tests ----
 
 
 def test_generate_is_deterministic():
@@ -109,3 +175,30 @@ def test_oracle_uses_matching_solver_options(arena_3_1):
     # the ridgeless closed forms.
     result = brute_force_pair(arena_3_1, 0, 1, 2, options=RIDGELESS)
     assert not result.flip_exists
+
+
+@pytest.mark.parametrize("options", [None, RIDGELESS], ids=["default", "ridgeless"])
+def test_stacked_search_matches_one_refit_per_subset(options):
+    flips = 0
+    for i in range(40):
+        arena = generate(random_spec(500 + i, target_matchups=8 + i % 6))
+        first, second = ranking(fit(arena, options=options)).order[:2]
+        for budget in (1, 2, 3):
+            want = reference_brute_force_pair(arena, first, second, budget, options=options)
+            got = brute_force_pair(arena, first, second, budget, options=options)
+            assert got == want
+            flips += want.flip_exists
+    assert flips  # the sample holds flips and searches that find none
+    assert flips < 120
+
+
+def test_stacked_search_with_one_subset_per_chunk(monkeypatch):
+    # A byte cap below one subset's share leaves one row per chunk.
+    import btaudit.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "_STACK_BYTES", 1)
+    for i in range(4):
+        arena = generate(random_spec(700 + i, target_matchups=9))
+        first, second = ranking(fit(arena)).order[:2]
+        assert brute_force_pair(arena, first, second, 3) == reference_brute_force_pair(
+            arena, first, second, 3)

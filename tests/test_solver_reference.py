@@ -306,3 +306,57 @@ def test_line_search_floor_matches_the_reference(monkeypatch):
 @pytest.mark.parametrize("theta0", [[0.0, 1.0], [0.0, float("nan")], [1.0, 0.0], [0.0]])
 def test_warm_start_outcomes_match_the_reference(theta0):
     _assert_fit_matches(two_player_arena(3, 1), None, SolverOptions(), np.array(theta0))
+
+
+# ---- the stacked loop, row by row ----
+
+def _assert_stack_matches(arena, cws, options):
+    """Each row of one stacked solve equals ``_minimize`` and the reference on that row."""
+    import btaudit.btmodel as btmodel_mod
+
+    cells = arena.cells
+    theta, reasons, iterations, gnorms = btmodel_mod._minimize_stack(
+        cells, cws, arena.n_models, options)
+    assert theta.shape == (cws.shape[0], arena.n_models)
+    for row, cw in enumerate(cws):
+        want = _outcome(lambda: btmodel_mod._minimize(cells, cw, arena.n_models, options, None))
+        assert _outcome(lambda: _minimize(cells, cw, arena.n_models, options, None)) == want
+        if want[0] == "error":
+            assert reasons[row] is None
+            continue
+        got = (theta[row].tobytes(), reasons[row], int(iterations[row]), gnorms[row].tobytes())
+        assert got == want
+
+
+def _count_rows(arena, drop, scale):
+    """Class weights of the full data, without ``drop`` and without each of its rows, scaled."""
+    cells = arena.cells
+    full = cells.class_counts.astype(np.float64)
+    rows = [full]
+    for removed in ([*drop], *([k] for k in drop[:6])):
+        cw = full.copy()
+        np.subtract.at(cw, cells.row_class[np.asarray(removed, dtype=np.int64)], 1.0)
+        rows.append(cw)
+    return [scale * cw for cw in rows]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(solves(), st.sampled_from([1.0, 1e3, 1e6]))
+def test_each_row_of_a_stack_matches_its_own_solve_bit_for_bit(case, scale):
+    arena, w, options, _, drop = case
+    rows = _count_rows(arena, drop, scale)
+    if w is not None:
+        rows.insert(0, arena.cells.class_weights(w))
+    _assert_stack_matches(arena, np.stack(rows), options)
+
+
+def test_stack_rows_at_the_line_search_floor_match(monkeypatch):
+    import btaudit.btmodel as btmodel_mod
+
+    monkeypatch.setattr(btmodel_mod, "_MAX_HALVINGS", 0)
+    monkeypatch.setitem(globals(), "_MAX_HALVINGS", 0)
+    arena = generate(round_robin_spec(2, n_models=5))
+    cws = np.stack(_count_rows(arena, [0, 3, 7], 1.0))
+    reasons = btmodel_mod._minimize_stack(arena.cells, cws, arena.n_models, SolverOptions())[1]
+    assert set(reasons) == {"line_search_floor"}
+    _assert_stack_matches(arena, cws, SolverOptions())
