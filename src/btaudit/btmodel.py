@@ -72,11 +72,12 @@ class BtFit:
 
     ``scores[0]`` is exactly 0 (the reference); ``class_weights`` (read-only)
     holds the weight of each class of ``arena.cells``. Immutable after construction
-    apart from an internal cache reused by influence computations (one
-    curvature factorization per fit). ``stop_reason`` says why the solver
-    stopped: ``"tol"`` (the gradient tolerance was met), ``"max_iter"``,
-    ``"line_search_floor"`` (no step decreased the objective) or
-    ``"divergence"`` (scores drifted past the bound with no ridge). A fit
+    apart from an internal cache reused by influence computations and audits
+    (one curvature factorization per fit, and each audited pair's drop order).
+    ``stop_reason`` says why the solver stopped: ``"tol"`` (the gradient
+    tolerance was met), ``"max_iter"``, ``"line_search_floor"`` (no step
+    decreased the objective) or ``"divergence"`` (scores drifted past the
+    bound with no ridge). A fit
     stopped at ``"tol"`` can still carry ``converged=False`` when ridge = 0 and
     some model's record is all wins or all losses.
     """

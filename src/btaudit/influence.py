@@ -10,8 +10,10 @@ An audit over many pairs (``check_topk``, ``min_drop_search``) runs on a
 private view of the fit from ``_audit_view``: the same fit with a copy of its
 cache that also holds a memo of each model's per-class influence vector. The
 memo is filled as targets are needed and dies with the view when the audit
-returns or raises, so it never grows the fit, and concurrent audits on one fit
-each fill their own. Calls outside an audit compute every vector afresh.
+returns or raises, so class influence never grows the fit, and concurrent
+audits on one fit each fill their own. Calls outside an audit compute every
+vector afresh. The view shares the fit's drop-order memo (``check_pair``),
+which does grow the fit: one entry per audited pair and method.
 """
 
 from __future__ import annotations
@@ -107,10 +109,12 @@ def _check_fit(bt: BtFit) -> None:
 def _audit_view(bt: BtFit) -> BtFit:
     """The fit with a per-model class influence memo that lives as long as the view.
 
-    The factor is built on ``bt`` itself first, so later calls on the fit reuse it.
+    The factor and the drop-order memo are made on ``bt`` itself first, so the
+    view shares them and later calls on the fit reuse them.
     """
     if bt.converged:
         hessian_factor(bt)
+    bt._cache.setdefault("drop_orders", {})
     return replace(bt, _cache={**bt._cache, "class_influence": {}})
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arena import Arena, PairCells
 from .btmodel import BtFit, ranking, refit_without
-from .influence import _audit_view, pair_influence
+from .influence import _audit_view, _check_fit, pair_influence
 
 __all__ = [
     "DropBudget",
@@ -245,6 +245,25 @@ def select_drop_set(scores: np.ndarray, cells: PairCells, count: int) -> np.ndar
     return np.array([r for _, r in picked[:count]], dtype=np.int64)
 
 
+def _drop_order(bt: BtFit, ia: int, ib: int, method: str, count: int):
+    """The canonical pair's ``(rows, row_scores, count)`` from the fit's memo.
+
+    ``rows`` were selected for ``count``, at least the count asked for: each
+    smaller count's drop set is a prefix, since selection takes the first
+    ``count`` rows of one total order. A larger count selects again.
+    """
+    _check_fit(bt)  # a hit must not skip the check a miss makes
+    memo = bt._cache.setdefault("drop_orders", {})
+    entry = memo.get((ia, ib, method))
+    if entry is None or entry[2] < count:
+        cells = bt.arena.cells
+        scores = pair_influence(bt, ia, ib, method=method)
+        rows = select_drop_set(scores, cells, count)
+        entry = rows, scores[cells.row_class[rows]], count
+        memo[ia, ib, method] = entry
+    return entry
+
+
 def check_pair(
     arena: Arena,
     bt: BtFit,
@@ -257,19 +276,26 @@ def check_pair(
 ) -> RobustnessReport:
     """Audit one pair: select a worst-case drop set, predict, and refit to verify.
 
+    The drop set is read from a memo on the fit, keyed by the canonical pair
+    and ``method``: the rows selected for the largest count checked so far and
+    each row's class score. A smaller count reads a prefix, bit-identical to
+    selecting afresh; a larger one selects again. Its memory is two arrays
+    per (pair, method), each as long as the largest count checked. A Newton
+    check served from the memo does not repeat the saturated-leverage warning.
+
     The refit reuses the base fit's options and starts from the canonical
     origin, so exactly symmetric reduced datasets land on score ties (a gap
     within rounding of zero is not a flip), and re-running ``refit_without``
     on the reported indices reproduces the reported outcome bit for bit.
+    Every check that refits calls ``refit_without``; the memo never skips one.
     """
     ia, ib = _canonical_pair(bt, a, b)
     before = float(bt.scores[ia]), float(bt.scores[ib])
     count = budget.resolve(arena.n_matchups)
 
-    cells = bt.arena.cells
-    scores = pair_influence(bt, ia, ib, method=method)
-    dropped = select_drop_set(scores, cells, count)
-    delta = float(-scores[cells.row_class[dropped]].sum()) if dropped.size else 0.0
+    rows, row_scores, _ = _drop_order(bt, ia, ib, method, count)
+    dropped = rows[:count]
+    delta = float(-row_scores[:count].sum()) if dropped.size else 0.0
 
     refit = {}
     if dropped.size and (always_refit or _predicts_flip(before, delta)):

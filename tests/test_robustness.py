@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from btaudit import (
     Arena,
     DropBudget,
+    FitError,
     ModelRegistry,
     SolverOptions,
     brute_force_pair,
@@ -615,3 +616,124 @@ def test_audits_call_each_stage_through_the_module_attributes(monkeypatch):
     order = ranking(bt).order
     result = min_drop_search(arena, bt, order[0], order[1], max_budget=4)
     assert set(calls.values()) == {result.budgets_tried}
+
+
+def _report_bytes(tk):
+    """A top-k report with every float as its hex string, so -0.0 and 0.0 differ."""
+    return tk, [(r.predicted_delta.hex(), [x.hex() for x in r.scores_before + (r.scores_after or ())])
+                for r in tk.per_pair]
+
+
+def test_warm_audits_on_one_fit_equal_cold_audits():
+    # One fit serves every audit, in a shuffled order, so a pair's drop order
+    # is reused for smaller counts, extended for larger ones and reused again
+    # at the same count; each report must equal the one from a fresh fit.
+    budgets = [DropBudget(count=c) for c in (1, 2, 3, 5, 12)]
+    budgets += [DropBudget(alpha=a) for a in (0.02, 0.25)]
+    rng = np.random.default_rng(29)
+    for seed in range(70, 78):
+        arena = generate(random_spec(seed, n_models=4 + seed % 3, target_matchups=60 + 10 * (seed % 4)))
+        jobs = [(k, b, m, refit) for k in range(1, arena.n_models) for b in budgets
+                for m in ("if", "newton") for refit in (False, True)]
+        warm = fit(arena)
+        for i in rng.permutation(len(jobs)):
+            k, b, m, refit = jobs[i]
+            cold = check_topk(arena, fit(arena), k, b, method=m, always_refit=refit)
+            hot = check_topk(arena, warm, k, b, method=m, always_refit=refit)
+            assert _report_bytes(hot) == _report_bytes(cold)
+        counts = {b.resolve(arena.n_matchups) for b in budgets}
+        memo = warm._cache["drop_orders"]
+        assert memo and all(count in counts for _, _, count in memo.values())
+
+
+def test_drop_order_memo_is_keyed_by_canonical_pair_and_method(monkeypatch):
+    arena = generate(random_spec(71, n_models=5, target_matchups=80))
+    bt = fit(arena)
+    calls = []
+    real = robustness_mod.pair_influence
+
+    def counted(bt, a, b, method="if"):
+        calls.append((a, b, method))
+        return real(bt, a, b, method=method)
+
+    monkeypatch.setattr(robustness_mod, "pair_influence", counted)
+    a, b = ranking(bt).order[:2]
+    forward = check_pair(arena, bt, a, b, DropBudget(count=3))
+    assert check_pair(arena, bt, b, a, DropBudget(count=3)) == forward
+    assert check_pair(arena, bt, b, a, DropBudget(count=2)).dropped == forward.dropped[:2]
+    assert calls == [(a, b, "if")] and list(bt._cache["drop_orders"]) == [(a, b, "if")]
+    check_pair(arena, bt, a, b, DropBudget(count=3), method="newton")
+    assert calls == [(a, b, "if"), (a, b, "newton")]
+    assert sorted(bt._cache["drop_orders"]) == [(a, b, "if"), (a, b, "newton")]
+    # A warm fit still rejects a bad method, and a fit that is not converged
+    # (here one sharing the warm fit's cache) still refuses influence.
+    with pytest.raises(ValueError, match="method must be"):
+        check_pair(arena, bt, a, b, DropBudget(count=1), method="bogus")
+    with pytest.raises(ValueError, match="method must be"):
+        check_topk(arena, bt, 1, DropBudget(count=1), method="bogus")
+    for unconverged in (dataclasses.replace(bt, converged=False),
+                        fit(arena, options=SolverOptions(max_iter=1))):
+        assert not unconverged.converged
+        with pytest.raises(FitError, match="converged"):
+            check_pair(arena, unconverged, a, b, DropBudget(count=1))
+        with pytest.raises(FitError, match="converged"):
+            check_topk(arena, unconverged, 1, DropBudget(count=1))
+
+
+def _assert_prefixes(scores, cells, largest):
+    """Each smaller count's drop set and predicted change are a prefix of the largest's."""
+    full = select_drop_set(scores, cells, largest)
+    gathered = scores[cells.row_class[full]]
+    for count in range(1, largest + 1):
+        alone = select_drop_set(scores, cells, count)
+        assert full[:count].tolist() == alone.tolist()
+        assert float(-gathered[:count].sum()).hex() == float(-scores[cells.row_class[alone]].sum()).hex()
+    return full.size
+
+
+def test_smaller_counts_select_prefixes_of_larger_ones():
+    # A tie at the cut: matchups 1 and 3 share a class, and matchup 2 is
+    # another class with the same score, so count 2 cuts through the tie.
+    arena = Arena.from_records(["a", "b", "c"], [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 0, 0), (1, 0, 1)])
+    assert _assert_prefixes(_classwise(arena, [1.0, 2.0, 2.0, 2.0, 0.5]), arena.cells, 4) == 4
+    # Counts past the eligible set: one helping matchup of three.
+    arena = Arena.from_records(["a", "b", "c"], [(0, 1, 1), (1, 2, 1), (0, 2, 0)])
+    assert _assert_prefixes(_classwise(arena, [-1.0, 0.5, -0.5]), arena.cells, 2) == 1
+    for seed in (81, 82, 83):
+        arena = generate(random_spec(seed, n_models=5, target_matchups=90))
+        bt = fit(arena)
+        for method in ("if", "newton"):
+            for a, b in ((0, 1), (1, 0), (2, 4)):
+                eligible = _assert_prefixes(pair_influence(bt, a, b, method=method), arena.cells,
+                                            arena.n_matchups - 1)
+                assert eligible < arena.n_matchups - 1
+
+
+def test_threads_sharing_one_drop_order_memo_match_serial():
+    # Threads on one fit race to fill, extend and reuse the same memo entries
+    # with counts in any order; a slower thread may store a shorter order over
+    # a longer one, which costs a recomputation and no wrong answer.
+    arena = generate(random_spec(73, n_models=6, target_matchups=150))
+    budgets = [DropBudget(count=c) for c in (4, 1, 3, 2)] + [DropBudget(alpha=0.03)]
+    jobs = [(k, b, m) for b in budgets for k in (1, 2, 3, 4) for m in ("if", "newton")]
+    serial = [_report_bytes(check_topk(arena, fit(arena), k, b, method=m)) for k, b, m in jobs]
+    shared = fit(arena)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(
+                lambda job: _report_bytes(check_topk(arena, shared, job[0], job[1], method=job[2])),
+                jobs + jobs[::-1], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial + serial[::-1]
+    cells = arena.cells
+    memo = shared._cache["drop_orders"]
+    assert memo
+    for (ia, ib, method), (rows, row_scores, count) in memo.items():
+        scores = pair_influence(fit(arena), ia, ib, method=method)
+        expected = select_drop_set(scores, cells, count)
+        assert rows.tolist() == expected.tolist()
+        assert row_scores.tobytes() == scores[cells.row_class[expected]].tobytes()
+    assert [_report_bytes(check_topk(arena, shared, k, b, method=m)) for k, b, m in jobs] == serial
