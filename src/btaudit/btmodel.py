@@ -72,8 +72,10 @@ class BtFit:
 
     ``scores[0]`` is exactly 0 (the reference); ``class_weights`` (read-only)
     holds the weight of each class of ``arena.cells``. Immutable after construction
-    apart from an internal cache reused by influence computations and audits
-    (one curvature factorization per fit, and each audited pair's drop order).
+    apart from an internal cache, filled on first use and read-only, that holds
+    everything derived from the fit for the fit's lifetime: one curvature
+    factorization, each model's class influence (at most M vectors of
+    2 * cells floats) and each audited pair's drop order.
     ``stop_reason`` says why the solver stopped: ``"tol"`` (the gradient
     tolerance was met), ``"max_iter"``, ``"line_search_floor"`` (no step
     decreased the objective) or ``"divergence"`` (scores drifted past the

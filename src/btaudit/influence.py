@@ -1,25 +1,20 @@
 """Per-matchup influence on fitted scores: first-order and leverage-corrected.
 
 All computations share one checked inverse of the fit's curvature matrix, built
-from the fit's class weights (no per-matchup vector) and cached on the fit,
-read-only, for its lifetime. Scores are computed once per (pair cell, winner)
-class; ``influence_scores`` gathers them to matchups, and pair influence keeps
-them per class.
+from the fit's class weights (no per-matchup vector). Scores are computed once
+per (pair cell, winner) class; ``influence_scores`` gathers them to matchups,
+and pair influence keeps them per class.
 
-An audit over many pairs (``check_topk``, ``min_drop_search``) runs on a
-private view of the fit from ``_audit_view``: the same fit with a copy of its
-cache that also holds a memo of each model's per-class influence vector. The
-memo is filled as targets are needed and dies with the view when the audit
-returns or raises, so class influence never grows the fit, and concurrent
-audits on one fit each fill their own. Calls outside an audit compute every
-vector afresh. The view shares the fit's drop-order memo (``check_pair``),
-which does grow the fit: one entry per audited pair and method.
+Everything derived from a fit lives in its cache, read-only, for the fit's
+lifetime: the factor, each model's class influence (filled as targets are
+needed, at most M vectors of 2 * cells floats), and each audited pair's drop
+order (``check_pair``). Every call, inside an audit or not, reads and fills
+the same entries, so its answers do not depend on what ran before.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -106,33 +101,20 @@ def _check_fit(bt: BtFit) -> None:
         raise FitError("influence requires a converged fit")
 
 
-def _audit_view(bt: BtFit) -> BtFit:
-    """The fit with a per-model class influence memo that lives as long as the view.
-
-    The factor and the drop-order memo are made on ``bt`` itself first, so the
-    view shares them and later calls on the fit reuse them.
-    """
-    if bt.converged:
-        hessian_factor(bt)
-    bt._cache.setdefault("drop_orders", {})
-    return replace(bt, _cache={**bt._cache, "class_influence": {}})
-
-
 # Per-class scores. Every matchup of a class (one pair cell, one winner) has the
 # same score, whatever its seat order, so each is computed once per class in
 # O(cells) and gathered to matchups with ``cells.row_class``.
 
 def _class_influence(bt: BtFit, t: int) -> np.ndarray:
-    memo = bt._cache.get("class_influence")
-    if memo is not None and t in memo:
-        return memo[t]
-    fac = hessian_factor(bt)
-    cells = bt.arena.cells
-    u = fac.inverse[t]
-    scores = ((u[cells.lo] - u[cells.hi])[:, None] * fac.residuals).reshape(-1)
-    if memo is not None:
+    memo = bt._cache.setdefault("class_influence", {})
+    scores = memo.get(t)
+    if scores is None:
+        fac = hessian_factor(bt)
+        cells = bt.arena.cells
+        u = fac.inverse[t]
+        scores = ((u[cells.lo] - u[cells.hi])[:, None] * fac.residuals).reshape(-1)
         scores.flags.writeable = False
-        memo[t] = scores
+        scores = memo.setdefault(t, scores)  # a racing thread's equal entry stays
     return scores
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .arena import Arena, PairCells
 from .btmodel import BtFit, ranking, refit_without
-from .influence import _audit_view, _check_fit, pair_influence
+from .influence import _check_fit, pair_influence
 
 __all__ = [
     "DropBudget",
@@ -67,7 +68,11 @@ class DropBudget:
             raise ValueError("count must be at least 1")
 
     def resolve(self, n_matchups: int) -> int:
-        c = math.floor(self.alpha * n_matchups) if self.alpha is not None else self.count
+        """The drop count on N rows: floor(alpha * N), alpha read as the decimal it prints as."""
+        if self.alpha is None:
+            c = self.count
+        else:  # 0.0003 * 10_000 is 2.9999999999999996 in floats; as decimals it is 3
+            c = math.floor(Fraction(repr(float(self.alpha))) * n_matchups)
         if c < 1:
             raise ValueError(
                 f"budget resolves to zero drops (alpha={self.alpha}, N={n_matchups})"
@@ -192,6 +197,11 @@ class TopKReport:
         return tuple(r.pair for r in self.per_pair if r.degenerate)
 
 
+def _check_arena(arena: Arena, bt: BtFit) -> None:
+    if arena is not bt.arena:
+        raise ValueError("the fit was made on another arena; audit the arena it was fit to")
+
+
 def _canonical_pair(bt: BtFit, a, b) -> tuple[int, int]:
     """Order so the first model has the weakly higher score; ties to the lower index."""
     ia = bt.arena.models.resolve(a)
@@ -289,6 +299,7 @@ def check_pair(
     on the reported indices reproduces the reported outcome bit for bit.
     Every check that refits calls ``refit_without``; the memo never skips one.
     """
+    _check_arena(arena, bt)
     ia, ib = _canonical_pair(bt, a, b)
     before = float(bt.scores[ia]), float(bt.scores[ib])
     count = budget.resolve(arena.n_matchups)
@@ -333,6 +344,7 @@ def check_topk(
     the first pair checked straddles the k boundary. The audit stops at the
     first verified non-robust pair; otherwise all k(M-k) pairs are examined.
     """
+    _check_arena(arena, bt)
     order = ranking(bt).order
     if not 1 <= k < len(order):
         raise ValueError(f"k must satisfy 1 <= k < {len(order)}, got {k}")
@@ -341,10 +353,9 @@ def check_topk(
         (abs(float(bt.scores[i] - bt.scores[j])), i, j) for i in order[:k] for j in order[k:]
     )
 
-    view = _audit_view(bt)  # each model's influence is computed once per call
     reports: list[RobustnessReport] = []
     for _, i, j in pairs:
-        reports.append(check_pair(arena, view, i, j, budget, method=method, always_refit=always_refit))
+        reports.append(check_pair(arena, bt, i, j, budget, method=method, always_refit=always_refit))
         if reports[-1].verdict == "non-robust":
             break
     return TopKReport(k=k, budget=budget, pairs_total=len(pairs), per_pair=tuple(reports))
@@ -386,14 +397,14 @@ def min_drop_search(
     every step. Whatever a larger budget verifies, some count at or below it is
     returned, so the result is a true minimum over this selection rule.
     """
+    _check_arena(arena, bt)
     if max_budget < 1:
         raise ValueError("max_budget must be at least 1")
     last: RobustnessReport | None = None
     count = 0  # budgets run 1, 2, ..., so the last count is the number tried
     budgets = range(1, min(max_budget, arena.n_matchups - 1) + 1)
-    view = _audit_view(bt) if budgets else bt  # the pair's influence is computed once
     for count in budgets:
-        last = check_pair(arena, view, a, b, DropBudget(count=count), method=method, always_refit=True)
+        last = check_pair(arena, bt, a, b, DropBudget(count=count), method=method, always_refit=True)
         if last.verdict == "non-robust":
             break
     return MinDropResult(report=last, budgets_tried=count)

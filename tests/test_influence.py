@@ -5,9 +5,11 @@ import pytest
 
 from btaudit import (
     Arena,
+    DropBudget,
     FitError,
     SingularHessianError,
     SolverOptions,
+    check_topk,
     finite_difference_influence,
     fit,
     generate,
@@ -20,7 +22,6 @@ from btaudit import (
     select_drop_set,
 )
 from btaudit.btmodel import sigmoid
-from btaudit.influence import _audit_view
 from conftest import RIDGELESS, leverage_rows, newton_rows, round_robin_spec, two_player_arena
 
 
@@ -276,16 +277,23 @@ def test_saturated_leverage_warns_once_per_call_and_clamps(monkeypatch):
 
 @pytest.mark.parametrize("method", ["if", "newton"])
 def test_pair_influence_is_bit_identical_inside_an_audit(method):
-    # The audit view memoizes each model's class influence; a pair's scores are
-    # the same subtraction either way, so they agree bit for bit, memo hit or not.
+    # An audit fills the fit's memo of each model's class influence; a pair's
+    # scores are the same subtraction either way, so a warm fit and a fresh
+    # one agree bit for bit, and the memo's entries stay put and read-only.
     arena = generate(random_spec(23, n_models=6, target_matchups=80))
-    bt = fit(arena)
-    view = _audit_view(bt)
+    warm = fit(arena)
+    check_topk(arena, warm, 2, DropBudget(count=2), method=method)
+    memo = warm._cache["class_influence"]
+    assert memo
     pairs = [(1, 3), (3, 1), (0, 5), (2, 4), (1, 3), (4, 2)]
     for a, b in pairs:
-        lone = pair_influence(bt, a, b, method=method)
-        audited = pair_influence(view, a, b, method=method)
-        assert lone.tobytes() == audited.tobytes()
-    assert sorted(view._cache["class_influence"]) == [0, 1, 2, 3, 4, 5]
-    assert "class_influence" not in bt._cache
-    assert view._cache["hessian_factor"] is bt._cache["hessian_factor"]
+        fresh = pair_influence(fit(arena), a, b, method=method)
+        assert pair_influence(warm, a, b, method=method).tobytes() == fresh.tobytes()
+    for t in range(arena.n_models):
+        assert influence_scores(warm, t).tobytes() == influence_scores(fit(arena), t).tobytes()
+    entries = dict(memo)
+    assert sorted(entries) == [0, 1, 2, 3, 4, 5]
+    assert not any(v.flags.writeable for v in entries.values())
+    check_topk(arena, warm, 3, DropBudget(count=3), method=method)
+    assert warm._cache["class_influence"] is memo
+    assert all(memo[t] is v for t, v in entries.items())

@@ -1,8 +1,6 @@
 import dataclasses
-import gc
 import sys
 import warnings
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,6 +18,7 @@ from btaudit import (
     check_topk,
     fit,
     generate,
+    influence_scores,
     involvement_composition,
     min_drop_search,
     pair_influence,
@@ -54,6 +53,14 @@ def test_drop_budget_resolution():
         with pytest.raises(ValueError, match="alpha must be a number"):
             DropBudget(alpha=bad)
     assert DropBudget(count=np.int64(3)).resolve(100) == 3
+    # alpha is read as the decimal it prints as: these float products fall
+    # just below the whole number and must not lose a drop.
+    assert 0.0003 * 10_000 < 3 and DropBudget(alpha=0.0003).resolve(10_000) == 3
+    assert DropBudget(alpha=0.29).resolve(100) == 29
+    assert DropBudget(alpha=0.57).resolve(100) == 57
+    assert DropBudget(alpha=1e-4).resolve(20_000) == 2
+    assert DropBudget(alpha=np.float64(0.29)).resolve(100) == 29
+    assert DropBudget(alpha=0.0299).resolve(100) == 2
 
 
 def _classwise(arena, row_scores, empty=10.0):
@@ -434,6 +441,26 @@ def test_check_pair_rejects_same_model(arena_3_1):
         check_pair(arena_3_1, bt, 1, 1, DropBudget(count=1))
 
 
+def test_audits_reject_a_fit_of_another_arena():
+    # A fit's drop sets are row numbers of its own arena; refitting another
+    # arena without them would report drops of rows it never selected.
+    a1 = generate(random_spec(3, n_models=4, target_matchups=40))
+    a2 = generate(random_spec(4, n_models=4, target_matchups=25))
+    bt1 = fit(a1)
+    top1, top2 = ranking(bt1).order[:2]
+    twin = generate(random_spec(3, n_models=4, target_matchups=40))  # equal, not the same
+    for other in (a2, twin):
+        with pytest.raises(ValueError, match="another arena"):
+            check_pair(other, bt1, top1, top2, DropBudget(count=2), always_refit=True)
+        with pytest.raises(ValueError, match="another arena"):
+            check_topk(other, bt1, 1, DropBudget(count=2))
+        with pytest.raises(ValueError, match="another arena"):
+            min_drop_search(other, bt1, top1, top2, max_budget=5)
+    assert bt1._cache == {}  # rejected before any work
+    rep = check_pair(a1, bt1, top1, top2, DropBudget(count=2), always_refit=True)
+    assert rep.n_matchups == a1.n_matchups
+
+
 def test_topk_first_pair_is_boundary_pair():
     spec = round_robin_spec(91, n_models=5, games_per_pair=4)
     arena = generate(spec)
@@ -491,58 +518,6 @@ def test_select_drop_set_matches_sorted_reference_at_scale():
                 assert select_drop_set(pi, arena.cells, count).tolist() == expected
 
 
-def _watch_audit_views(monkeypatch) -> list:
-    """Record a weak reference to the fit each pair check's influence is computed on."""
-    views = []
-    real = robustness_mod.pair_influence
-
-    def watched(bt, a, b, method="if"):
-        assert "class_influence" in bt._cache  # the audit's memo
-        views.append(weakref.ref(bt))
-        return real(bt, a, b, method=method)
-
-    monkeypatch.setattr(robustness_mod, "pair_influence", watched)
-    return views
-
-
-def _assert_memo_gone(bt, views) -> None:
-    gc.collect()
-    assert views and all(view() is None for view in views)
-    assert "class_influence" not in bt._cache
-
-
-def test_audit_memo_is_gone_after_return(monkeypatch):
-    arena = generate(round_robin_spec(61, n_models=5, games_per_pair=12))
-    bt = fit(arena)
-    views = _watch_audit_views(monkeypatch)
-    tk = check_topk(arena, bt, 2, DropBudget(count=1))
-    assert len(views) == tk.pairs_checked == 6  # every pair, one memo for all
-    _assert_memo_gone(bt, views)
-    views.clear()
-    order = ranking(bt).order
-    min_drop_search(arena, bt, order[0], order[1], max_budget=5)
-    _assert_memo_gone(bt, views)
-
-
-def test_audit_memo_is_gone_after_raise(monkeypatch):
-    arena = generate(random_spec(61, n_models=5, target_matchups=60))
-    bt = fit(arena)
-    views = _watch_audit_views(monkeypatch)
-
-    def broken(arena, options, drop_indices):
-        raise RuntimeError("refit failed")
-
-    monkeypatch.setattr(robustness_mod, "refit_without", broken)
-    with pytest.raises(RuntimeError, match="refit failed"):
-        check_topk(arena, bt, 2, DropBudget(count=2), always_refit=True)
-    _assert_memo_gone(bt, views)
-    views.clear()
-    order = ranking(bt).order
-    with pytest.raises(RuntimeError, match="refit failed"):
-        min_drop_search(arena, bt, order[0], order[1], max_budget=5)
-    _assert_memo_gone(bt, views)
-
-
 def test_concurrent_topk_audits_on_one_fit_match_serial():
     arena = generate(random_spec(67, n_models=6, target_matchups=120))
     jobs = [(k, DropBudget(count=c), method)
@@ -561,7 +536,14 @@ def test_concurrent_topk_audits_on_one_fit_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
-    assert "class_influence" not in shared._cache
+    # The racing threads filled the fit's class-influence memo with exactly
+    # the vectors a fresh fit computes.
+    memo = shared._cache["class_influence"]
+    lone = fit(arena)
+    assert sorted(memo) == list(range(arena.n_models))
+    for t, scores in memo.items():
+        influence_scores(lone, t)
+        assert scores.tobytes() == lone._cache["class_influence"][t].tobytes()
 
 
 def test_saturated_warning_once_per_newton_pair_influence_in_an_audit(monkeypatch):
