@@ -118,6 +118,10 @@ def _per_model(cells: PairCells, as_lo, as_hi, n_models: int) -> np.ndarray:
     )
 
 
+# logaddexp(0, 0): each cell's term of the objective at the cold start, where z = 0.
+_LOG2 = float(np.logaddexp(0.0, 0.0))
+
+
 def _value(z, theta, wins, total, ridge) -> float:
     """The objective at ``theta``, from its cell differences ``z = theta[lo] - theta[hi]``."""
     val = float(total @ np.logaddexp(0.0, z) - wins @ z)
@@ -185,6 +189,8 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
     iterations = 0
     z = theta[lo] - theta[hi]
     f = None  # the objective at theta, once computed
+    if theta0 is None:  # z = 0, where every cell's logaddexp(0, z) is log 2
+        f = float(total @ np.full(z.size, _LOG2))
 
     while True:
         p = sigmoid(z)
@@ -248,11 +254,25 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
 # through ``np.vecdot`` on rows with the single solve's strides, and ``exp`` sees
 # contiguous arrays, so each row's results are bit-identical to its own ``_minimize``.
 
-def _bincount_rows(idx, weights, length: int) -> np.ndarray:
-    """``np.bincount(idx, weights=row, minlength=length)`` for each row of ``weights``, in one call."""
+# Stop codes of the stacked loop, indexes into _STOP_REASONS; 0 marks a row still
+# iterating, and _NON_FINITE one where ``_minimize`` would raise.
+_TOL, _MAX_ITER, _DIVERGENCE, _FLOOR, _NON_FINITE = 1, 2, 3, 4, 5
+_STOP_REASONS = (None, "tol", "max_iter", "divergence", "line_search_floor", None)
+
+
+def _row_bins(idx, rows: int, length: int) -> np.ndarray:
+    """Bin numbers ``row * length + idx`` of ``rows`` rows; the first k rows' are a prefix."""
+    return (np.arange(rows)[:, None] * length + idx).ravel()
+
+
+def _bincount_rows(bins, weights, length: int) -> np.ndarray:
+    """``np.bincount(idx, weights=row, minlength=length)`` for each row of ``weights``, in one call.
+
+    ``bins`` are ``_row_bins(idx, rows, length)`` for at least as many rows as ``weights`` has.
+    """
     rows = weights.shape[0]
-    bins = (np.arange(rows)[:, None] * length + idx).ravel()
-    return np.bincount(bins, weights=weights.ravel(), minlength=rows * length).reshape(rows, length)
+    return np.bincount(bins[:weights.size], weights=weights.ravel(),
+                       minlength=rows * length).reshape(rows, length)
 
 
 def _values(z, theta, wins, total, ridge) -> np.ndarray:
@@ -264,28 +284,6 @@ def _values(z, theta, wins, total, ridge) -> np.ndarray:
     return val
 
 
-def _directions(cells: PairCells, total, p, g, ridge, n_models):
-    """``_direction`` for each row of a stack: one stacked solve, ``_direction`` where it fails."""
-    off = total * p * (p - 1.0)
-    h = np.zeros((off.shape[0], n_models * n_models))
-    upper, lower = cells.slots
-    h[:, upper] = off
-    h[:, lower] = off
-    diag = _bincount_rows(cells.lo, off, n_models) + _bincount_rows(cells.hi, off, n_models)
-    h[:, :: n_models + 1] = ridge - diag
-    h = h.reshape(-1, n_models, n_models)[:, 1:, 1:]
-    try:
-        d = np.linalg.solve(h, -g[:, :, None])[:, :, 0]
-        slope = np.vecdot(g, d)
-        redo = np.flatnonzero(~(np.isfinite(d).all(axis=1) & (slope < 0)))
-    except np.linalg.LinAlgError:
-        d, slope = np.empty_like(g), np.empty(g.shape[0])
-        redo = range(g.shape[0])
-    for i in redo:
-        d[i], slope[i] = _direction(h[i], g[i])
-    return d, slope
-
-
 def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: SolverOptions):
     """``_minimize`` from a cold start for each row of the class weights ``cws``, all at once.
 
@@ -294,90 +292,129 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
     entry per row; where ``_minimize`` would raise on a non-finite gradient the
     row's stop reason is None.
     """
-    n_rows = cws.shape[0]
+    n_rows, n_cells = cws.shape[0], cells.n_cells
     lo, hi = cells.lo, cells.hi
+    upper, lower = cells.slots
     ridge, tol = options.ridge, options.tol
+    # The live rows stay compacted at the top of the stack, so the bin numbers of
+    # their per-row sums, and their curvature matrices, are prefixes of these.
+    at_lo = _row_bins(lo, n_rows, n_models)
+    at_hi = _row_bins(hi, n_rows, n_models)
+    h_rows = np.zeros((n_rows, n_models * n_models))  # entries off the cells' slots stay 0
+
     out_theta = np.zeros((n_rows, n_models))
-    out_reason: list[str | None] = [None] * n_rows
+    out_code = np.zeros(n_rows, dtype=np.int8)
     out_iterations = np.zeros(n_rows, dtype=np.int64)
     out_gnorm = np.zeros(n_rows)
 
-    def retire(idx, reasons):
-        """Record the rows at positions ``idx`` as stopped at the current iterate."""
-        for i, reason in zip(idx, reasons):
-            out_reason[rows[i]] = reason
-        out_theta[rows[idx]] = theta[idx]
-        out_iterations[rows[idx]] = iterations
-        out_gnorm[rows[idx]] = gnorm[idx]
-
     rows = np.arange(n_rows)
     cw = cws
+    total = cws[:, 1::2] + cws[:, 0::2]
     theta = np.zeros((n_rows, n_models))
-    z = theta[:, lo] - theta[:, hi]
-    f = np.zeros(n_rows)
-    known = np.zeros(n_rows, dtype=bool)  # whether f holds the objective at theta
+    z = np.zeros((n_rows, n_cells))
+    # The objective at theta, NaN where not yet computed. At the cold start z = 0,
+    # where every cell's logaddexp(0, z) is log 2.
+    f = np.vecdot(total, np.full(n_cells, _LOG2))
     iterations = 0
 
+    def retire(idx, codes, gnorm):
+        """Record the rows at positions ``idx`` as stopped at the current iterate."""
+        out = rows[idx]
+        out_code[out] = codes
+        out_theta[out] = theta[idx]
+        out_iterations[out] = iterations
+        out_gnorm[out] = gnorm[idx]
+
     while rows.size:
-        total = cw[:, 1::2] + cw[:, 0::2]
         p = sigmoid(z)
         r = total * p - cw[:, 1::2]
-        g = _bincount_rows(lo, r, n_models) - _bincount_rows(hi, r, n_models)
-        g = g[:, 1:]
+        g = (_bincount_rows(at_lo, r, n_models) - _bincount_rows(at_hi, r, n_models))[:, 1:]
         if ridge:
             g = g + ridge * theta[:, 1:]
         gnorm = np.abs(g).max(axis=1)
 
-        reason = np.full(rows.size, "", dtype=object)
-        reason[gnorm <= tol] = "tol"
+        go = np.isfinite(gnorm) & (gnorm > tol)
         if iterations >= options.max_iter:
-            reason[reason == ""] = "max_iter"
+            go[:] = False
         elif ridge == 0.0:
-            reason[(reason == "") & (np.abs(theta).max(axis=1) > _DIVERGENCE_BOUND)] = "divergence"
-        reason[~np.isfinite(gnorm)] = None
-        go = reason == ""
+            go &= ~(np.abs(theta).max(axis=1) > _DIVERGENCE_BOUND)
         if not go.all():
-            retire(np.flatnonzero(~go), reason[~go])
-            rows, cw, theta, z, f, known, total, p, g, gnorm = (
-                a[go] for a in (rows, cw, theta, z, f, known, total, p, g, gnorm))
+            stop = np.flatnonzero(~go)
+            codes = np.where(gnorm[stop] <= tol, _TOL,
+                             _MAX_ITER if iterations >= options.max_iter else _DIVERGENCE)
+            codes[~np.isfinite(gnorm[stop])] = _NON_FINITE
+            retire(stop, codes, gnorm)
+            rows, cw, total, theta, z, f, p, g, gnorm = (
+                a[go] for a in (rows, cw, total, theta, z, f, p, g, gnorm))
             if not rows.size:
                 break
+        k = rows.size
 
-        d, slope = _directions(cells, total, p, g, ridge, n_models)
-        reach = np.abs(d).max(axis=1)
-        basin = (gnorm <= _PURE_NEWTON_GRAD) & (reach <= 1.0)
-        fresh = ~basin & ~known
-        if fresh.any():
-            f[fresh] = _values(z[fresh], theta[fresh], cw[fresh][:, 1::2], total[fresh], ridge)
-        basin |= (-slope <= _LINE_SEARCH_RESOLUTION * np.abs(f)) & (reach <= 1.0)
+        # _direction for each row: one stacked solve, _direction itself where it fails.
+        off = total * p * (p - 1.0)
+        h = h_rows[:k]
+        h[:, upper] = off
+        h[:, lower] = off
+        h[:, :: n_models + 1] = ridge - (
+            _bincount_rows(at_lo, off, n_models) + _bincount_rows(at_hi, off, n_models))
+        h = h.reshape(k, n_models, n_models)[:, 1:, 1:]
+        try:
+            d = np.linalg.solve(h, -g[:, :, None])[:, :, 0]
+            slope = np.vecdot(g, d)
+            redo = np.flatnonzero(~(np.isfinite(d).all(axis=1) & (slope < 0)))
+        except np.linalg.LinAlgError:
+            d, slope = np.empty_like(g), np.empty(k)
+            redo = range(k)
+        for i in redo:
+            d[i], slope[i] = _direction(h[i], g[i])
 
-        theta[basin, 1:] += d[basin]
-        moved = theta[basin]
-        z[basin] = moved[:, lo] - moved[:, hi]
-        known[basin] = False
+        # A row that took a full step needs its objective value again; computing it
+        # for a row that then takes another full step changes nothing.
+        stale = np.isnan(f)
+        if stale.any():
+            f[stale] = _values(z[stale], theta[stale], cw[stale][:, 1::2], total[stale], ridge)
+        basin = ((gnorm <= _PURE_NEWTON_GRAD) | (-slope <= _LINE_SEARCH_RESOLUTION * np.abs(f))) & (
+            np.abs(d).max(axis=1) <= 1.0)
+        if basin.any():
+            theta[basin, 1:] += d[basin]
+            moved = theta[basin]
+            z[basin] = moved[:, lo] - moved[:, hi]
+            f[basin] = np.nan
 
-        # Line searches in lockstep: each row still searching halves its own step.
+        # Line searches in lockstep: the rows still searching share one step length.
         search = np.flatnonzero(~basin)
-        step = np.ones(search.size)
+        if search.size == k:
+            s_theta, s_d, s_f, s_slope, s_cw, s_total = theta, d, f, slope, cw, total
+        else:
+            s_theta, s_d, s_f, s_slope, s_cw, s_total = (
+                a[search] for a in (theta, d, f, slope, cw, total))
+        step = 1.0
         for _ in range(_MAX_HALVINGS):
             if not search.size:
                 break
-            cand = theta[search]
-            cand[:, 1:] += step[:, None] * d[search]
+            cand = s_theta.copy()
+            cand[:, 1:] += step * s_d
             z_cand = cand[:, lo] - cand[:, hi]
-            f_cand = _values(z_cand, cand, cw[search][:, 1::2], total[search], ridge)
-            ok = f_cand <= f[search] + _ARMIJO * step * slope[search]
+            f_cand = _values(z_cand, cand, s_cw[:, 1::2], s_total, ridge)
+            ok = f_cand <= s_f + _ARMIJO * step * s_slope
+            if search.size == k and ok.all():
+                theta, z, f = cand, z_cand, f_cand
+                search = search[:0]
+                break
             done = search[ok]
-            theta[done], z[done], f[done], known[done] = cand[ok], z_cand[ok], f_cand[ok], True
-            search, step = search[~ok], step[~ok] * 0.5
+            theta[done], z[done], f[done] = cand[ok], z_cand[ok], f_cand[ok]
+            search = search[~ok]
+            s_theta, s_d, s_f, s_slope, s_cw, s_total = (
+                a[~ok] for a in (s_theta, s_d, s_f, s_slope, s_cw, s_total))
+            step *= 0.5
         if search.size:  # the line-search floor, reached before the gradient tolerance
-            retire(search, ["line_search_floor"] * search.size)
-            go = np.ones(rows.size, dtype=bool)
+            retire(search, _FLOOR, gnorm)
+            go = np.ones(k, dtype=bool)
             go[search] = False
-            rows, cw, theta, z, f, known = (a[go] for a in (rows, cw, theta, z, f, known))
+            rows, cw, total, theta, z, f = (a[go] for a in (rows, cw, total, theta, z, f))
         iterations += 1
 
-    return out_theta, out_reason, out_iterations, out_gnorm
+    return out_theta, [_STOP_REASONS[c] for c in out_code.tolist()], out_iterations, out_gnorm
 
 
 def fit(

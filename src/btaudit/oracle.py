@@ -14,8 +14,9 @@ from math import comb
 import numpy as np
 
 from .arena import Arena
-from .btmodel import BtFit, FitError, SolverOptions, _bincount_rows, _minimize_stack, fit, sigmoid
-from .robustness import _canonical_pair, reverses
+from .btmodel import (BtFit, FitError, SolverOptions, _bincount_rows, _minimize_stack, _row_bins,
+                      fit, sigmoid)
+from .robustness import _TIE_TOLERANCE, _canonical_pair
 
 __all__ = [
     "BruteForceResult",
@@ -28,9 +29,10 @@ __all__ = [
 ]
 
 _MAX_BRUTE_BUDGET = 4
-# Subsets are refit together in chunks: the first holds 64 of them, each next one
-# twice as many, until the chunk's dense curvature matrices, 0/1 row weights and
-# their bin numbers (8 * (M² + 2N) bytes a subset) would pass this many bytes.
+# Subsets are refit together in chunks of one stream over sizes 1..budget: the
+# first holds 64 of them, each next one twice as many, until the chunk's dense
+# curvature matrices, 0/1 row weights and their bin numbers (8 * (M² + 2N) bytes
+# a subset) would pass this many bytes.
 _FIRST_CHUNK = 64
 _STACK_BYTES = 1 << 20
 
@@ -139,11 +141,11 @@ def brute_force_pair(
 
     Returns the smallest flipping subset, lexicographically first among the
     minimal ones, or flip_exists=False. Enumeration beyond the refit cap is
-    refused outright, never silently truncated. Subsets of each size are refit
-    in lexicographic order, a chunk at a time, as one stacked solve whose rows
-    are bit-identical to single refits; ``refits_performed`` counts the subsets
-    up to and including the answer (all of them when none flips), not the rows
-    a chunk solved past it.
+    refused outright, never silently truncated. Subsets are enumerated by size,
+    and lexicographically within a size, and refit a chunk at a time, as one
+    stacked solve whose rows are bit-identical to single refits; a chunk can
+    span two sizes. ``refits_performed`` counts the subsets up to and including
+    the answer (all of them when none flips), not the rows a chunk solved past it.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -168,25 +170,31 @@ def brute_force_pair(
     # Class weights come from each subset's 0/1 row weights, not from refit_without's
     # subtraction, so the oracle stays an independent check of it.
     cells, m = arena.cells, arena.n_models
+    classes = 2 * cells.n_cells
     cap = max(1, _STACK_BYTES // (8 * (m * m + 2 * n)))
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(n), s) for s in sizes)
+    chunk = min(_FIRST_CHUNK, cap)
     performed = 0
-    for size in sizes:
-        subsets = itertools.combinations(range(n), size)
-        chunk = min(_FIRST_CHUNK, cap)
-        while block := list(itertools.islice(subsets, chunk)):
-            w = np.ones((len(block), n))
-            w[np.arange(len(block))[:, None], block] = 0.0
-            cws = _bincount_rows(cells.row_class, w, 2 * cells.n_cells)
-            scores, reasons, _, _ = _minimize_stack(cells, cws, m, options)
-            for subset, reason, lead, chase in zip(
-                block, reasons, scores[:, ia].tolist(), scores[:, ib].tolist()
-            ):
-                if reason is None:
-                    raise FitError(f"the refit without matchups {subset} met non-finite values")
-                performed += 1
-                if reverses(lead, chase):
-                    return BruteForceResult(True, subset, performed)
-            chunk = min(2 * chunk, cap)
+    while block := list(itertools.islice(subsets, chunk)):
+        rows = len(block)
+        lengths = np.fromiter(map(len, block), dtype=np.intp, count=rows)
+        dropped = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp,
+                              count=int(lengths.sum()))
+        w = np.ones((rows, n))
+        w[np.repeat(np.arange(rows), lengths), dropped] = 0.0
+        cws = _bincount_rows(_row_bins(cells.row_class, rows, classes), w, classes)
+        scores, reasons, _, _ = _minimize_stack(cells, cws, m, options)
+        # The tie rule of ``reverses``, on the rows before the first that met non-finite values.
+        solved = reasons.index(None) if None in reasons else rows
+        lead, chase = scores[:solved, ia], scores[:solved, ib]
+        scale = np.maximum(1.0, np.maximum(np.abs(lead), np.abs(chase)))
+        flips = np.flatnonzero(lead - chase < -_TIE_TOLERANCE * scale)
+        if flips.size:
+            return BruteForceResult(True, block[flips[0]], performed + int(flips[0]) + 1)
+        if solved < rows:
+            raise FitError(f"the refit without matchups {block[solved]} met non-finite values")
+        performed += rows
+        chunk = min(2 * chunk, cap)
     return BruteForceResult(False, None, performed)
 
 

@@ -8,6 +8,7 @@ guarantee is one-sided) but verified verdicts carry a concrete witness.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -49,6 +50,16 @@ def _predicts_flip(scores_before: tuple[float, float], predicted_delta: float) -
     return scores_before[0] - scores_before[1] + predicted_delta < 0.0
 
 
+@functools.lru_cache(maxsize=256)
+def _alpha_count(alpha: float, n_matchups: int) -> int:
+    """floor(alpha * N), alpha read as the decimal it prints as.
+
+    0.0003 * 10_000 is 2.9999999999999996 in floats; as decimals it is 3. Cached,
+    since an audit resolves the same budget on the same arena for every pair.
+    """
+    return math.floor(Fraction(repr(alpha)) * n_matchups)
+
+
 @dataclass(frozen=True)
 class DropBudget:
     """How many matchups an adversary may remove: a fraction of N or a raw count."""
@@ -71,8 +82,8 @@ class DropBudget:
         """The drop count on N rows: floor(alpha * N), alpha read as the decimal it prints as."""
         if self.alpha is None:
             c = self.count
-        else:  # 0.0003 * 10_000 is 2.9999999999999996 in floats; as decimals it is 3
-            c = math.floor(Fraction(repr(float(self.alpha))) * n_matchups)
+        else:
+            c = _alpha_count(float(self.alpha), n_matchups)
         if c < 1:
             raise ValueError(
                 f"budget resolves to zero drops (alpha={self.alpha}, N={n_matchups})"
@@ -349,9 +360,8 @@ def check_topk(
     if not 1 <= k < len(order):
         raise ValueError(f"k must satisfy 1 <= k < {len(order)}, got {k}")
     budget.resolve(arena.n_matchups)  # a budget that does not fit fails before any work
-    pairs = sorted(
-        (abs(float(bt.scores[i] - bt.scores[j])), i, j) for i in order[:k] for j in order[k:]
-    )
+    scores = bt.scores.tolist()
+    pairs = sorted((abs(scores[i] - scores[j]), i, j) for i in order[:k] for j in order[k:])
 
     reports: list[RobustnessReport] = []
     for _, i, j in pairs:

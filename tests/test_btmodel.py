@@ -381,3 +381,26 @@ def test_stop_reason_line_search_floor(arena_3_1, monkeypatch):
     bt = fit(arena_3_1)
     assert bt.stop_reason == "line_search_floor" and not bt.converged
     assert bt.iterations == 0
+
+
+def test_stack_rows_stop_for_every_reason_as_their_own_solves(monkeypatch):
+    # One ridgeless stack with a row for each stop reason, in order. The line
+    # search gets one trial step, so a row whose objective stalls in rounding
+    # meets its floor while the others still iterate.
+    import btaudit.btmodel as btmodel_mod
+    import test_solver_reference as reference
+
+    monkeypatch.setattr(btmodel_mod, "_MAX_HALVINGS", 1)
+    monkeypatch.setattr(reference, "_MAX_HALVINGS", 1)
+    arena = generate(round_robin_spec(2, n_models=3))  # cells (0, 1), (0, 2), (1, 2)
+    cws = np.array([
+        [2.0, 2.0, 2.0, 2.0, 2.0, 2.0],  # even records: a zero gradient at the start
+        [1e8, 1e8 + 1, 1e8, 1e8, 1e8, 1e8],  # full steps below the objective's resolution
+        [0.0, 3.0, 0.0, 3.0, 1.0, 1.0],  # model 0 wins every game it plays
+        [50.0, 0.0, 2.0, 1e5, 0.0, 1e5],  # drifts until rounding hides a full step's decrease
+        [np.inf, 0.0, 1.0, 1.0, 1.0, 1.0],  # an infinite gradient
+    ])
+    options = SolverOptions(ridge=0.0, tol=1e-30)
+    reasons = btmodel_mod._minimize_stack(arena.cells, cws, arena.n_models, options)[1]
+    assert reasons == ["tol", "max_iter", "divergence", "line_search_floor", None]
+    reference._assert_stack_matches(arena, cws, options)

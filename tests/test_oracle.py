@@ -7,6 +7,7 @@ import pytest
 from btaudit import (
     Arena,
     EnumerationCapError,
+    FitError,
     SolverOptions,
     SynthSpec,
     brute_force_pair,
@@ -202,3 +203,66 @@ def test_stacked_search_with_one_subset_per_chunk(monkeypatch):
         first, second = ranking(fit(arena)).order[:2]
         assert brute_force_pair(arena, first, second, 3) == reference_brute_force_pair(
             arena, first, second, 3)
+
+
+# random_spec(seed, target_matchups=n) arenas, keyed (seed, n), by the size of
+# their top pair's minimal flip at budget 3 (0: none flips).
+_FLIP_SIZES = {(801, 8): 1, (802, 10): 1, (813, 10): 2, (803, 12): 2, (806, 10): 3, (820, 8): 3,
+               (800, 10): 0}
+
+
+def _top_pair(seed, n):
+    arena = generate(random_spec(seed, target_matchups=n))
+    first, second = ranking(fit(arena)).order[:2]
+    return arena, first, second
+
+
+def test_chunks_that_span_subset_sizes_match_one_refit_per_subset(monkeypatch):
+    # The first chunk holds every single drop and the first three pairs; the
+    # next ones double, and one of them crosses from pairs to triples.
+    import btaudit.oracle as oracle_mod
+
+    for (seed, n), size in _FLIP_SIZES.items():
+        arena, first, second = _top_pair(seed, n)
+        monkeypatch.setattr(oracle_mod, "_FIRST_CHUNK", arena.n_matchups + 3)
+        want = reference_brute_force_pair(arena, first, second, 3)
+        assert len(want.minimal_subset or ()) == size
+        assert brute_force_pair(arena, first, second, 3) == want
+
+
+def _fail_refit_at(monkeypatch, position):
+    """Make the stacked refit of the subset at enumeration ``position`` stop on
+    non-finite values, with infinite scores."""
+    import btaudit.oracle as oracle_mod
+
+    real, seen = oracle_mod._minimize_stack, [0]
+
+    def stack(cells, cws, n_models, options):
+        theta, reasons, iterations, gnorms = real(cells, cws, n_models, options)
+        row = position - seen[0]
+        seen[0] += len(reasons)
+        if 0 <= row < len(reasons):
+            theta[row], reasons[row] = np.inf, None
+        return theta, reasons, iterations, gnorms
+
+    monkeypatch.setattr(oracle_mod, "_minimize_stack", stack)
+
+
+def test_a_failed_refit_stops_the_search_only_at_or_before_the_answer(monkeypatch):
+    # Tier-1 turns warnings into errors, so the failed row's infinite scores
+    # must stay out of the chunk's flip test.
+    import btaudit.oracle as oracle_mod
+
+    for seed, n in ((802, 10), (813, 10), (803, 12), (800, 10)):
+        arena, first, second = _top_pair(seed, n)
+        monkeypatch.setattr(oracle_mod, "_FIRST_CHUNK", arena.n_matchups + 3)
+        want = reference_brute_force_pair(arena, first, second, 3)
+        answer = want.refits_performed - 1  # the last subset when none flips
+        for position in sorted({0, answer - 1, answer, answer + 1, answer + 20} - {-1}):
+            with monkeypatch.context() as patch:
+                _fail_refit_at(patch, position)
+                if position <= answer:
+                    with pytest.raises(FitError, match="non-finite"):
+                        brute_force_pair(arena, first, second, 3)
+                else:
+                    assert brute_force_pair(arena, first, second, 3) == want

@@ -63,6 +63,27 @@ def test_drop_budget_resolution():
     assert DropBudget(alpha=0.0299).resolve(100) == 2
 
 
+def test_cached_alpha_counts_equal_the_decimal_formula():
+    # Each (alpha, N) is resolved once and served from a cache after that; every
+    # resolution, first or repeated, must be floor(alpha * N) with alpha read as
+    # the decimal it prints as.
+    from fractions import Fraction
+
+    alphas = [0.0003, 1e-4, 2e-4, 0.0299, 0.25, 0.29, 0.57, 0.1 + 0.2, 0.999]
+    sizes = [1_000, 7_001, 10_000, 20_000, 333_333, 2_000_000]
+    for _ in range(2):
+        for alpha in alphas:
+            for n in sizes:
+                want = int(Fraction(repr(alpha)) * n)
+                if not 1 <= want <= n - 1:
+                    continue
+                assert DropBudget(alpha=alpha).resolve(n) == want
+                assert DropBudget(alpha=np.float64(alpha)).resolve(np.int64(n)) == want
+    assert DropBudget(alpha=0.0003).resolve(10_000) == 3
+    with pytest.raises(ValueError, match="zero drops"):
+        DropBudget(alpha=0.0003).resolve(3_000)
+
+
 def _classwise(arena, row_scores, empty=10.0):
     """Class scores that gather to ``row_scores``; empty classes get ``empty``."""
     cells = arena.cells
