@@ -5,14 +5,15 @@ per model beyond the pinned reference), so a damped Newton iteration with a
 dense solve per step is cheap and deterministic. It depends on a weighting only
 through its sums over the arena's (pair cell, winner) classes, so a fit carries
 those class weights, never a per-matchup vector, and iterates on pair cells.
-Each iterate gathers its cell differences ``z = theta[lo] - theta[hi]`` once for
-its gradient, curvature and objective value, and the candidate that a line
-search accepts carries its ``z`` and objective value on to the next iterate.
+One likelihood core (objective, gradient, per-model sums, curvature) serves a
+fit, its influence factor, every refit and the exhaustive oracle's stacked refits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -60,10 +61,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.ridge < 0 or not np.isfinite(self.ridge):
             raise FitError("ridge must be a finite non-negative number")
-        if not self.tol > 0:
-            raise FitError("tol must be positive")
-        if self.max_iter < 1:
-            raise FitError("max_iter must be at least 1")
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise FitError("tol must be a finite positive number")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise FitError("max_iter must be an integer of at least 1")
 
 
 @dataclass
@@ -79,9 +80,8 @@ class BtFit:
     ``stop_reason`` says why the solver stopped: ``"tol"`` (the gradient
     tolerance was met), ``"max_iter"``, ``"line_search_floor"`` (no step
     decreased the objective) or ``"divergence"`` (scores drifted past the
-    bound with no ridge). A fit
-    stopped at ``"tol"`` can still carry ``converged=False`` when ridge = 0 and
-    some model's record is all wins or all losses.
+    bound with no ridge). A fit stopped at ``"tol"`` can still carry
+    ``converged=False`` when ridge = 0 and some model's record is all wins or all losses.
     """
 
     arena: Arena
@@ -107,40 +107,98 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
 
 
-# The likelihood core. Every function below works on pair cells: ``wins[c]`` and
-# ``total[c]`` are the weight of cell c's matchups that its lower-index model won
-# and of all of them, so one Newton step costs O(cells), whatever the row count.
+# The likelihood core. ``wins[c]`` and ``total[c]`` are the weight of cell c's
+# matchups that its lower-index model won and of all of them, so a Newton step
+# costs O(cells), whatever the row count. Each function takes one weighting's cell
+# quantities as 1-d arrays, or a stack's as row-major 2-d arrays, a row each, and
+# gives each row the bits of its own one-row call: a stack sums all its rows in one
+# ``bincount`` over bins numbered row by row (each bin adds in the row's own order),
+# and its dot products and ``exp`` see one row's strides.
 
-def _per_model(cells: PairCells, as_lo, as_hi, n_models: int) -> np.ndarray:
-    """Per-model sums of a cell quantity, seen from the lower and the higher model."""
-    return np.bincount(cells.lo, weights=as_lo, minlength=n_models) + np.bincount(
-        cells.hi, weights=as_hi, minlength=n_models
-    )
+
+def _row_bins(idx, rows: int, length: int) -> np.ndarray:
+    """Bin numbers ``i * length + idx`` for row i of a stack; the first k rows' are a prefix."""
+    return (np.arange(rows)[:, None] * length + idx).ravel()
+
+
+def _stacked_class_weights(cells: PairCells, w: np.ndarray) -> np.ndarray:
+    """``cells.class_weights`` of each row of a stack of per-matchup weightings, in one call."""
+    rows, length = w.shape[0], 2 * cells.n_cells
+    return np.bincount(_row_bins(cells.row_class, rows, length), w.ravel(),
+                       rows * length).reshape(rows, length)
+
+
+# The core's index objects for one weighting or a stack of ``shape[0]``, built once
+# per solve (a stack's ``_head`` once per iterate): indexing with a prepared object
+# costs a fraction of indexing with one derived from shapes. ``lo`` and ``hi`` give
+# each cell's bins, ``free`` and ``inner`` the free coordinates of scores and of
+# curvature matrices, flattened with the cells at ``upper`` and ``lower``.
+_Frame = namedtuple("_Frame", "lo hi size shape square free inner upper lower diag")
+
+
+def _frame(cells: PairCells, n_models: int, rows: int | None = None) -> _Frame:
+    """The frame of one weighting, or of a stack of ``rows`` weightings."""
+    m, slots, free = n_models, cells.slots, slice(1, None)
+    diag = slice(None, None, m + 1)
+    if rows is None:
+        return _Frame(cells.lo, cells.hi, m, (m,), (m, m), free, (free, free), slots[0], slots[1], diag)
+    every = slice(None)
+    return _Frame(_row_bins(cells.lo, rows, m), _row_bins(cells.hi, rows, m), rows * m, (rows, m),
+                  (rows, m, m), (every, free), (every, free, free), (every, slots[0]),
+                  (every, slots[1]), (every, diag))
+
+
+def _head(fr: _Frame, k: int) -> _Frame:
+    """The frame of a stack's first k rows."""
+    n, m = k * (fr.lo.size // fr.shape[0]), fr.shape[1]
+    return fr._replace(lo=fr.lo[:n], hi=fr.hi[:n], size=k * m, shape=(k, m), square=(k, m, m))
+
+
+def _per_model(fr: _Frame, as_lo, as_hi, combine=np.add) -> np.ndarray:
+    """Per-model sums of a cell quantity as the lower model, ``combine``d with those as the higher."""
+    return combine(np.bincount(fr.lo, as_lo.ravel(), fr.size),
+                   np.bincount(fr.hi, as_hi.ravel(), fr.size)).reshape(fr.shape)
+
+
+def _gradient(fr: _Frame, theta, p, wins, total, ridge) -> np.ndarray:
+    """The objective's gradient on the free coordinates; ``p`` is each cell's ``sigmoid(z)``."""
+    r = total * p - wins
+    g = _per_model(fr, r, r, np.subtract)[fr.free]  # r as the lower model, -r as the higher
+    if ridge:
+        g = g + ridge * theta[fr.free]
+    return g
+
+
+def _curvature(fr: _Frame, h, total, p, ridge) -> np.ndarray:
+    """A view of the curvature on the free coordinates, assembled in ``h``.
+
+    ``h`` holds flattened M-by-M matrices, zero off the cells' slots; cells are
+    distinct pairs, so entries are set, not summed.
+    """
+    off = total * p * (p - 1.0)  # minus each cell's weighted variance
+    h[fr.upper] = off
+    h[fr.lower] = off
+    # The ridge lands on the reference's diagonal entry too, which is cut off below.
+    h[fr.diag] = ridge - _per_model(fr, off, off)
+    return h.reshape(fr.square)[fr.inner]
+
+
+def _value(fr: _Frame, z, theta, wins, total, ridge):
+    """The objective at ``theta``, from its cell differences ``z = theta[lo] - theta[hi]``."""
+    val = np.vecdot(total, np.logaddexp(0.0, z)) - np.vecdot(wins, z)
+    if ridge:
+        free = theta[fr.free]
+        val = val + 0.5 * ridge * np.vecdot(free, free)
+    return val
 
 
 # logaddexp(0, 0): each cell's term of the objective at the cold start, where z = 0.
 _LOG2 = float(np.logaddexp(0.0, 0.0))
 
 
-def _value(z, theta, wins, total, ridge) -> float:
-    """The objective at ``theta``, from its cell differences ``z = theta[lo] - theta[hi]``."""
-    val = float(total @ np.logaddexp(0.0, z) - wins @ z)
-    if ridge:
-        free = theta[1:]
-        val += 0.5 * ridge * float(free @ free)
-    return val
-
-
-def _curvature(cells: PairCells, total, p, ridge, n_models) -> np.ndarray:
-    """Curvature on the free coordinates; cells are distinct pairs, so entries are set, not summed."""
-    off = total * p * (p - 1.0)  # minus each cell's weighted variance
-    h = np.zeros(n_models * n_models)
-    upper, lower = cells.slots
-    h[upper] = off
-    h[lower] = off
-    # The ridge lands on the reference's diagonal entry too, which is cut off below.
-    h[:: n_models + 1] = ridge - _per_model(cells, off, off, n_models)
-    return h.reshape(n_models, n_models)[1:, 1:]
+def _cold_value(total):
+    """``_value`` at the cold start: there z = 0, each cell's term is log 2, and the ridge adds 0."""
+    return np.vecdot(total, np.full(total.shape[-1], _LOG2))
 
 
 def _direction(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -184,23 +242,17 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
         if not np.all(np.isfinite(theta)):
             raise FitError("warm start contains non-finite values")
 
+    fr = _frame(cells, n_models)
+    h = np.zeros(n_models * n_models)  # the curvature's buffer: entries off the cells' slots stay 0
     lo, hi = cells.lo, cells.hi
     ridge, tol = options.ridge, options.tol
     iterations = 0
     z = theta[lo] - theta[hi]
-    f = None  # the objective at theta, once computed
-    if theta0 is None:  # z = 0, where every cell's logaddexp(0, z) is log 2
-        f = float(total @ np.full(z.size, _LOG2))
+    f = None if theta0 is not None else _cold_value(total)  # the objective at theta, once known
 
     while True:
         p = sigmoid(z)
-        r = total * p - wins
-        g = np.bincount(lo, weights=r, minlength=n_models) - np.bincount(
-            hi, weights=r, minlength=n_models
-        )
-        g = g[1:]
-        if ridge:
-            g = g + ridge * theta[1:]
+        g = _gradient(fr, theta, p, wins, total, ridge)
         gnorm = float(np.abs(g).max()) if g.size else 0.0
         if not math.isfinite(gnorm):
             raise FitError("non-finite values encountered during fitting"
@@ -215,7 +267,7 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
             reason = "divergence"  # unbounded drift; also reported via the diverged flag
             break
 
-        d, slope = _direction(_curvature(cells, total, p, ridge, n_models), g)
+        d, slope = _direction(_curvature(fr, h, total, p, ridge), g)
         reach = float(np.abs(d).max())
         # In the quadratic basin the full Newton step is safe, and a large total
         # weight gets there with the predicted decrease below the objective's
@@ -223,7 +275,7 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
         basin = gnorm <= _PURE_NEWTON_GRAD and reach <= 1.0
         if not basin:
             if f is None:
-                f = _value(z, theta, wins, total, ridge)
+                f = _value(fr, z, theta, wins, total, ridge)
             basin = -slope <= _LINE_SEARCH_RESOLUTION * abs(f) and reach <= 1.0
         if basin:
             theta[1:] += d
@@ -235,7 +287,7 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
                 cand = theta.copy()
                 cand[1:] += step * d
                 z = cand[lo] - cand[hi]
-                f_cand = _value(z, cand, wins, total, ridge)
+                f_cand = _value(fr, z, cand, wins, total, ridge)
                 if f_cand <= f + _ARMIJO * step * slope:
                     break
                 step *= 0.5
@@ -248,73 +300,42 @@ def _minimize(cells: PairCells, cw, n_models, options: SolverOptions, theta0):
     return theta, reason, iterations, gnorm
 
 
-# The same loop over a stack of weightings. Every row performs the floating-point
-# operations of ``_minimize`` in the same order: sums per row go through one
-# ``bincount`` with row offsets (the same order of addition per bin), dot products
-# through ``np.vecdot`` on rows with the single solve's strides, and ``exp`` sees
-# contiguous arrays, so each row's results are bit-identical to its own ``_minimize``.
-
 # Stop codes of the stacked loop, indexes into _STOP_REASONS; 0 marks a row still
 # iterating, and _NON_FINITE one where ``_minimize`` would raise.
 _TOL, _MAX_ITER, _DIVERGENCE, _FLOOR, _NON_FINITE = 1, 2, 3, 4, 5
 _STOP_REASONS = (None, "tol", "max_iter", "divergence", "line_search_floor", None)
 
 
-def _row_bins(idx, rows: int, length: int) -> np.ndarray:
-    """Bin numbers ``row * length + idx`` of ``rows`` rows; the first k rows' are a prefix."""
-    return (np.arange(rows)[:, None] * length + idx).ravel()
-
-
-def _bincount_rows(bins, weights, length: int) -> np.ndarray:
-    """``np.bincount(idx, weights=row, minlength=length)`` for each row of ``weights``, in one call.
-
-    ``bins`` are ``_row_bins(idx, rows, length)`` for at least as many rows as ``weights`` has.
-    """
-    rows = weights.shape[0]
-    return np.bincount(bins[:weights.size], weights=weights.ravel(),
-                       minlength=rows * length).reshape(rows, length)
-
-
-def _values(z, theta, wins, total, ridge) -> np.ndarray:
-    """``_value`` for each row of a stack."""
-    val = np.vecdot(total, np.logaddexp(0.0, z)) - np.vecdot(wins, z)
-    if ridge:
-        free = theta[:, 1:]
-        val = val + 0.5 * ridge * np.vecdot(free, free)
-    return val
-
-
 def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: SolverOptions):
     """``_minimize`` from a cold start for each row of the class weights ``cws``, all at once.
 
-    Rows leave the stack as they stop, so the rows still in it share one
-    iteration count. Returns (theta, stop_reason, iterations, gradient_norm), one
-    entry per row; where ``_minimize`` would raise on a non-finite gradient the
-    row's stop reason is None.
+    The same core and steps, so each row's results are bit-identical to its own
+    solve. Rows leave the stack as they stop, so the rows still in it share one
+    iteration count. Returns (theta, stop_reason, iterations, gradient_norm), an
+    entry per row; a row where ``_minimize`` would raise stops with reason None.
     """
     n_rows, n_cells = cws.shape[0], cells.n_cells
-    lo, hi = cells.lo, cells.hi
-    upper, lower = cells.slots
     ridge, tol = options.ridge, options.tol
-    # The live rows stay compacted at the top of the stack, so the bin numbers of
-    # their per-row sums, and their curvature matrices, are prefixes of these.
-    at_lo = _row_bins(lo, n_rows, n_models)
-    at_hi = _row_bins(hi, n_rows, n_models)
+    # The live rows stay compacted at the top of the stack, so their frame is a
+    # head of this one, and their curvature buffer a head of these rows.
+    stack = fr = _frame(cells, n_models, n_rows)
     h_rows = np.zeros((n_rows, n_models * n_models))  # entries off the cells' slots stay 0
+    at_lo, at_hi = stack.lo.reshape(n_rows, n_cells), stack.hi.reshape(n_rows, n_cells)
+
+    # Cell differences gathered row-major: ``t[:, lo]`` is column-major, and its rows'
+    # dot products would take other strides, and give other bits, than one row's.
+    def differences(t):
+        return t.take(at_lo[:len(t)]) - t.take(at_hi[:len(t)])
 
     out_theta = np.zeros((n_rows, n_models))
     out_code = np.zeros(n_rows, dtype=np.int8)
     out_iterations = np.zeros(n_rows, dtype=np.int64)
     out_gnorm = np.zeros(n_rows)
 
-    rows = np.arange(n_rows)
-    cw = cws
-    total = cws[:, 1::2] + cws[:, 0::2]
+    rows, cw, total = np.arange(n_rows), cws, cws[:, 1::2] + cws[:, 0::2]
     theta = np.zeros((n_rows, n_models))
     z = np.zeros((n_rows, n_cells))
-    # The objective at theta, NaN where not yet computed. At the cold start z = 0,
-    # where every cell's logaddexp(0, z) is log 2.
-    f = np.vecdot(total, np.full(n_cells, _LOG2))
+    f = _cold_value(total)  # the objective at theta, NaN where not yet computed
     iterations = 0
 
     def retire(idx, codes, gnorm):
@@ -327,10 +348,7 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
 
     while rows.size:
         p = sigmoid(z)
-        r = total * p - cw[:, 1::2]
-        g = (_bincount_rows(at_lo, r, n_models) - _bincount_rows(at_hi, r, n_models))[:, 1:]
-        if ridge:
-            g = g + ridge * theta[:, 1:]
+        g = _gradient(fr, theta, p, cw[:, 1::2], total, ridge)
         gnorm = np.abs(g).max(axis=1)
 
         go = np.isfinite(gnorm) & (gnorm > tol)
@@ -348,16 +366,11 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
                 a[go] for a in (rows, cw, total, theta, z, f, p, g, gnorm))
             if not rows.size:
                 break
+            fr = _head(stack, rows.size)
         k = rows.size
 
         # _direction for each row: one stacked solve, _direction itself where it fails.
-        off = total * p * (p - 1.0)
-        h = h_rows[:k]
-        h[:, upper] = off
-        h[:, lower] = off
-        h[:, :: n_models + 1] = ridge - (
-            _bincount_rows(at_lo, off, n_models) + _bincount_rows(at_hi, off, n_models))
-        h = h.reshape(k, n_models, n_models)[:, 1:, 1:]
+        h = _curvature(fr, h_rows[:k], total, p, ridge)
         try:
             d = np.linalg.solve(h, -g[:, :, None])[:, :, 0]
             slope = np.vecdot(g, d)
@@ -372,30 +385,28 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
         # for a row that then takes another full step changes nothing.
         stale = np.isnan(f)
         if stale.any():
-            f[stale] = _values(z[stale], theta[stale], cw[stale][:, 1::2], total[stale], ridge)
+            f[stale] = _value(fr, z[stale], theta[stale], cw[stale][:, 1::2], total[stale], ridge)
         basin = ((gnorm <= _PURE_NEWTON_GRAD) | (-slope <= _LINE_SEARCH_RESOLUTION * np.abs(f))) & (
             np.abs(d).max(axis=1) <= 1.0)
         if basin.any():
             theta[basin, 1:] += d[basin]
-            moved = theta[basin]
-            z[basin] = moved[:, lo] - moved[:, hi]
+            z[basin] = differences(theta[basin])
             f[basin] = np.nan
 
         # Line searches in lockstep: the rows still searching share one step length.
         search = np.flatnonzero(~basin)
-        if search.size == k:
-            s_theta, s_d, s_f, s_slope, s_cw, s_total = theta, d, f, slope, cw, total
-        else:
-            s_theta, s_d, s_f, s_slope, s_cw, s_total = (
-                a[search] for a in (theta, d, f, slope, cw, total))
+        searching = (theta, d, f, slope, cw, total)
+        if search.size < k:
+            searching = tuple(a[search] for a in searching)
+        s_theta, s_d, s_f, s_slope, s_cw, s_total = searching
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             if not search.size:
                 break
             cand = s_theta.copy()
             cand[:, 1:] += step * s_d
-            z_cand = cand[:, lo] - cand[:, hi]
-            f_cand = _values(z_cand, cand, s_cw[:, 1::2], s_total, ridge)
+            z_cand = differences(cand)
+            f_cand = _value(fr, z_cand, cand, s_cw[:, 1::2], s_total, ridge)
             ok = f_cand <= s_f + _ARMIJO * step * s_slope
             if search.size == k and ok.all():
                 theta, z, f = cand, z_cand, f_cand
@@ -412,17 +423,14 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
             go = np.ones(k, dtype=bool)
             go[search] = False
             rows, cw, total, theta, z, f = (a[go] for a in (rows, cw, total, theta, z, f))
+            fr = _head(stack, rows.size)
         iterations += 1
 
     return out_theta, [_STOP_REASONS[c] for c in out_code.tolist()], out_iterations, out_gnorm
 
 
-def fit(
-    arena: Arena,
-    weighting: np.ndarray | None = None,
-    options: SolverOptions | None = None,
-    warm_start: np.ndarray | None = None,
-) -> BtFit:
+def fit(arena: Arena, weighting: np.ndarray | None = None, options: SolverOptions | None = None,
+        warm_start: np.ndarray | None = None) -> BtFit:
     """Minimize the weighted negative log-likelihood with the reference score pinned to 0.
 
     Deterministic for fixed inputs and options. With ridge = 0 and a separated or
@@ -446,19 +454,18 @@ def _fit_classes(arena: Arena, cw: np.ndarray, options: SolverOptions, warm_star
     if not np.any(cw > 0):
         raise FitError("all weights are zero")
     cw.flags.writeable = False
-    cells = arena.cells
-    n_models = arena.n_models
-    wins, losses = cw[1::2], cw[0::2]
-    total = wins + losses
+    cells, n_models = arena.cells, arena.n_models
+    wins, losses, total = cw[1::2], cw[0::2], cw[1::2] + cw[0::2]
 
     scores, stop_reason, iterations, gnorm = _minimize(cells, cw, n_models, options, warm_start)
     converged = stop_reason == "tol"
 
-    games = _per_model(cells, total, total, n_models)
+    fr = _frame(cells, n_models)
+    games = _per_model(fr, total, total)
     diverged = False
     if options.ridge == 0.0:
         # A model whose weighted record is all wins or all losses has an unbounded likelihood.
-        record = _per_model(cells, wins, losses, n_models)
+        record = _per_model(fr, wins, losses)
         boundary = (games > 0) & ((record == 0) | (record == games))
         if float(np.abs(scores).max()) > _DIVERGENCE_BOUND or bool(np.any(boundary)):
             diverged = True
@@ -466,18 +473,9 @@ def _fit_classes(arena: Arena, cw: np.ndarray, options: SolverOptions, warm_star
 
     unidentified = tuple(int(k) for k in np.flatnonzero(games == 0))
     scores.flags.writeable = False
-    return BtFit(
-        arena=arena,
-        options=options,
-        class_weights=cw,
-        scores=scores,
-        converged=converged,
-        diverged=diverged,
-        iterations=iterations,
-        gradient_norm=gnorm,
-        unidentified=unidentified,
-        stop_reason=stop_reason,
-    )
+    return BtFit(arena=arena, options=options, class_weights=cw, scores=scores, converged=converged,
+                 diverged=diverged, iterations=iterations, gradient_norm=gnorm,
+                 unidentified=unidentified, stop_reason=stop_reason)
 
 
 def refit_without(arena: Arena, options: SolverOptions, drop_indices: Sequence[int]) -> BtFit:

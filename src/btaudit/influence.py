@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .btmodel import BtFit, FitError, _curvature, sigmoid
+from .btmodel import BtFit, FitError, _curvature, _frame, sigmoid
 
 __all__ = [
     "HessianFactor",
@@ -50,7 +50,8 @@ class HessianFactor:
         m = bt.arena.n_models
         cw = bt.class_weights
         self.probs = sigmoid(bt.scores[cells.lo] - bt.scores[cells.hi])
-        self.matrix = _curvature(cells, cw[1::2] + cw[0::2], self.probs, bt.options.ridge, m)
+        self.matrix = _curvature(_frame(cells, m), np.zeros(m * m), cw[1::2] + cw[0::2],
+                                 self.probs, bt.options.ridge)
         singular = None
         try:
             chol = np.linalg.cholesky(self.matrix)

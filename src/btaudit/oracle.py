@@ -14,9 +14,8 @@ from math import comb
 import numpy as np
 
 from .arena import Arena
-from .btmodel import (BtFit, FitError, SolverOptions, _bincount_rows, _minimize_stack, _row_bins,
-                      fit, sigmoid)
-from .robustness import _TIE_TOLERANCE, _canonical_pair
+from .btmodel import BtFit, FitError, SolverOptions, _minimize_stack, _stacked_class_weights, fit, sigmoid
+from .robustness import _canonical_pair, _reversed
 
 __all__ = [
     "BruteForceResult",
@@ -170,7 +169,6 @@ def brute_force_pair(
     # Class weights come from each subset's 0/1 row weights, not from refit_without's
     # subtraction, so the oracle stays an independent check of it.
     cells, m = arena.cells, arena.n_models
-    classes = 2 * cells.n_cells
     cap = max(1, _STACK_BYTES // (8 * (m * m + 2 * n)))
     subsets = itertools.chain.from_iterable(itertools.combinations(range(n), s) for s in sizes)
     chunk = min(_FIRST_CHUNK, cap)
@@ -182,13 +180,10 @@ def brute_force_pair(
                               count=int(lengths.sum()))
         w = np.ones((rows, n))
         w[np.repeat(np.arange(rows), lengths), dropped] = 0.0
-        cws = _bincount_rows(_row_bins(cells.row_class, rows, classes), w, classes)
-        scores, reasons, _, _ = _minimize_stack(cells, cws, m, options)
+        scores, reasons, _, _ = _minimize_stack(cells, _stacked_class_weights(cells, w), m, options)
         # The tie rule of ``reverses``, on the rows before the first that met non-finite values.
         solved = reasons.index(None) if None in reasons else rows
-        lead, chase = scores[:solved, ia], scores[:solved, ib]
-        scale = np.maximum(1.0, np.maximum(np.abs(lead), np.abs(chase)))
-        flips = np.flatnonzero(lead - chase < -_TIE_TOLERANCE * scale)
+        flips = np.flatnonzero(_reversed(scores[:solved, ia], scores[:solved, ib]))
         if flips.size:
             return BruteForceResult(True, block[flips[0]], performed + int(flips[0]) + 1)
         if solved < rows:

@@ -39,10 +39,15 @@ __all__ = [
 _TIE_TOLERANCE = 8.0 * np.finfo(np.float64).eps
 
 
+def _reversed(leader_after, challenger_after):
+    """``reverses`` element by element, for scores or arrays of them."""
+    scale = np.maximum(np.maximum(np.abs(leader_after), np.abs(challenger_after)), 1.0)
+    return leader_after - challenger_after < -_TIE_TOLERANCE * scale
+
+
 def reverses(leader_after: float, challenger_after: float) -> bool:
     """True when a refit puts the challenger above the leader by more than rounding."""
-    scale = max(1.0, abs(leader_after), abs(challenger_after))
-    return bool(leader_after - challenger_after < -_TIE_TOLERANCE * scale)
+    return bool(_reversed(leader_after, challenger_after))
 
 
 def _predicts_flip(scores_before: tuple[float, float], predicted_delta: float) -> bool:
@@ -94,7 +99,7 @@ class DropBudget:
 
     def label(self) -> str:
         if self.alpha is not None:
-            return f"alpha={self.alpha:g}"
+            return f"alpha={float(self.alpha)!r}"
         return f"count={self.count}"
 
 

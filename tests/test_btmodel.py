@@ -404,3 +404,100 @@ def test_stack_rows_stop_for_every_reason_as_their_own_solves(monkeypatch):
     reasons = btmodel_mod._minimize_stack(arena.cells, cws, arena.n_models, options)[1]
     assert reasons == ["tol", "max_iter", "divergence", "line_search_floor", None]
     reference._assert_stack_matches(arena, cws, options)
+
+
+def test_solver_options_reject_a_tolerance_or_iteration_cap_they_cannot_use():
+    # An infinite tolerance would stop every fit at its first iterate and call it converged.
+    for tol in (np.inf, np.nan, 0.0, -1e-8):
+        with pytest.raises(FitError, match="tol"):
+            SolverOptions(tol=tol)
+    for max_iter in (2.5, 3.0, "3", 0, -1):
+        with pytest.raises(FitError, match="max_iter"):
+            SolverOptions(max_iter=max_iter)
+    assert SolverOptions(max_iter=np.int64(7)).max_iter == 7
+
+
+def _core_call(fr, h, z, theta, cw, ridge):
+    """Every formula of the likelihood core at one point, as bytes (signed zeros included)."""
+    from btaudit import btmodel as bm
+
+    wins, losses = cw[..., 1::2], cw[..., 0::2]
+    total = wins + losses
+    p = sigmoid(z)
+    results = (
+        bm._value(fr, z, theta, wins, total, ridge),
+        bm._cold_value(total),
+        bm._gradient(fr, theta, p, wins, total, ridge),
+        bm._per_model(fr, total, total),
+        bm._per_model(fr, wins, losses),
+        bm._per_model(fr, p, p, np.subtract),
+        bm._curvature(fr, h, total, p, ridge),
+    )
+    return [np.asarray(r) for r in results]
+
+
+@pytest.mark.parametrize("ridge", [0.0, SolverOptions().ridge])
+def test_stacked_core_matches_each_rows_own_call_bit_for_bit(ridge):
+    from btaudit import btmodel as bm
+
+    for seed in range(12):
+        arena = generate(random_spec(seed, target_matchups=12 + seed))
+        cells, m = arena.cells, arena.n_models
+        rng = np.random.default_rng(seed)
+        rows = 5
+        # Integer and fractional weights, an emptied class, and scores at several scales.
+        cw = np.vstack([cells.class_counts.astype(np.float64),
+                        rng.uniform(0.0, 3.0, (rows - 1, 2 * cells.n_cells))])
+        cw[1, 0] = 0.0
+        theta = rng.normal(0.0, 1.0, (rows, m)) * np.array([[1.0], [0.1], [3.0], [1e-3], [20.0]])
+        theta[:, 0] = 0.0
+        z = np.ascontiguousarray(theta[:, cells.lo] - theta[:, cells.hi])  # rows row-major, as in the stack
+        one = bm._frame(cells, m)
+        # A stack of its own, and the same rows read through a prefix of a larger stack's bins.
+        for stack in (bm._frame(cells, m, rows), bm._head(bm._frame(cells, m, rows + 3), rows)):
+            got = _core_call(stack, np.zeros((rows, m * m)), z, theta, cw, ridge)
+            for i in range(rows):
+                want = _core_call(one, np.zeros(m * m), z[i], theta[i], cw[i], ridge)
+                for g, w in zip(got, want):
+                    assert g[i].tobytes() == w.tobytes()
+
+
+def test_stacked_class_weights_match_each_rows_class_weights():
+    from btaudit import btmodel as bm
+
+    arena = generate(random_spec(4, target_matchups=15))
+    w = np.random.default_rng(4).uniform(0.0, 2.0, (6, arena.n_matchups))
+    w[2, :5] = 0.0
+    got = bm._stacked_class_weights(arena.cells, w)
+    for i in range(6):
+        assert got[i].tobytes() == arena.cells.class_weights(w[i]).tobytes()
+
+
+def test_stacked_solve_evaluates_each_objective_as_the_rows_own_solve(monkeypatch):
+    # Every objective value the stacked loop computes, line-search candidates
+    # included, carries the bits of a one-row call on that row. Gathered
+    # column-major, the cell differences' rows would take other strides in the
+    # dot products, and give other last bits, than ``_minimize``'s.
+    from btaudit import btmodel as bm
+
+    arena = generate(random_spec(7, n_models=5, target_matchups=16))
+    cells, m = arena.cells, arena.n_models
+    one, real, rows_seen = bm._frame(cells, m), bm._value, [0]
+
+    def value(fr, z, theta, wins, total, ridge):
+        got = real(fr, z, theta, wins, total, ridge)
+        if z.ndim == 2:
+            for i in range(z.shape[0]):
+                # Strides as in ``_minimize``: wins a strided view, the rest contiguous.
+                want = real(one, z[i].copy(), theta[i].copy(), wins[i], total[i].copy(), ridge)
+                assert got[i].tobytes() == want.tobytes()
+            rows_seen[0] += z.shape[0]
+        return got
+
+    monkeypatch.setattr(bm, "_value", value)
+    base = cells.class_counts.astype(np.float64)
+    cws = np.repeat(base[None, :], arena.n_matchups, axis=0)
+    np.subtract.at(cws, (np.arange(arena.n_matchups), cells.row_class), 1.0)
+    for options in (SolverOptions(), SolverOptions(ridge=0.0)):
+        bm._minimize_stack(cells, cws, m, options)
+    assert cells.n_cells >= 4 and rows_seen[0] > 2 * arena.n_matchups

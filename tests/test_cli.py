@@ -212,6 +212,23 @@ def test_error_exit_codes(workspace):
     assert main(["nonsense"]) == 1
 
 
+def test_an_unusable_tolerance_exits_1(workspace, capsys):
+    # An infinite tolerance would report a fit "converged" after 0 iterations, every score 0.
+    assert main(["fit", workspace["dataset"], "--schema", workspace["schema"], "--tol", "inf",
+                 "--out", workspace["out"]]) == 1
+    assert capsys.readouterr().err == "error: tol must be a finite positive number\n"
+
+
+def test_alphas_that_print_alike_under_six_digits_write_their_own_reports(workspace):
+    code = main(["check-topk", workspace["dataset"], "--schema", workspace["schema"], "--k", "1",
+                 "--alpha", "0.3333333", "--alpha", "0.3333333333333333", "--out", workspace["out"]])
+    assert code in (0, 2)
+    out = workspace["root"] / "out"
+    for alpha in ("0.3333333", "0.3333333333333333"):
+        report = (out / f"topk_k1_alpha{alpha}.txt").read_text()
+        assert parse_report(report)["budget"] == f"alpha={alpha}"
+
+
 def test_csv_errors_exit_with_an_error_line(workspace, capsys):
     import csv
 

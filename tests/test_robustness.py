@@ -520,6 +520,35 @@ def test_reverses_needs_more_than_rounding():
     assert reverses(-1.0, 1.0)
 
 
+def test_array_tie_rule_matches_reverses_element_by_element():
+    eps = np.finfo(float).eps
+    values = [0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 0.3 + 4 * eps, 0.3 + 1e-12, 0.999, 1.0,
+              -1.0, 1.0 + 8 * eps, 1.0 + 16 * eps, 5.0, 5.0 + 8 * 5 * eps, 5.0 + 64 * 5 * eps, -7.5,
+              20.0, 20.0 + 1e-13]
+    lead, chase = (a.ravel() for a in np.meshgrid(values, values))
+    got = robustness_mod._reversed(lead, chase)
+    assert got.dtype == bool
+    want = [reverses(float(x), float(y)) for x, y in zip(lead, chase)]
+    assert got.tolist() == want
+    # The rule as it was stated on scalars.
+    tol = robustness_mod._TIE_TOLERANCE
+    assert want == [x - y < -tol * max(1.0, abs(x), abs(y)) for x, y in zip(lead.tolist(), chase.tolist())]
+    assert any(want) and not all(want)
+    assert not robustness_mod._reversed(np.array([0.0, -0.0, 0.3]), np.array([-0.0, 0.0, 0.3])).any()
+
+
+def test_budget_labels_tell_apart_alphas_that_resolve_apart():
+    # 1/3 and 0.3333333 print alike under six significant digits, but drop
+    # different counts at large N; the label is the decimal that resolves.
+    third, near = DropBudget(alpha=1 / 3), DropBudget(alpha=0.3333333)
+    assert third.resolve(300_000_000) != near.resolve(300_000_000)
+    assert third.label() == "alpha=0.3333333333333333"
+    assert near.label() == "alpha=0.3333333"
+    assert DropBudget(alpha=np.float64(0.25)).label() == "alpha=0.25"
+    for alpha in (0.001, 0.0002, 1e-05, 2.5e-07, 0.05, 0.123456, 0.5):
+        assert DropBudget(alpha=alpha).label() == f"alpha={alpha:g}"
+
+
 def test_select_drop_set_matches_sorted_reference_at_scale():
     # 20k rows over 60 models: thousands of classes, many holding several rows.
     # Counts 1 and 2 keep a few classes, 30 and 1,000 keep many; each drop set
