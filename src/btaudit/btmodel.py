@@ -59,11 +59,17 @@ class SolverOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.ridge < 0 or not np.isfinite(self.ridge):
+        for name in ("ridge", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise FitError(f"{name} must be a real number, got {value!r}")
+        if self.ridge < 0 or not math.isfinite(self.ridge):
             raise FitError("ridge must be a finite non-negative number")
-        if not (self.tol > 0 and np.isfinite(self.tol)):
+        if not (self.tol > 0 and math.isfinite(self.tol)):
             raise FitError("tol must be a finite positive number")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise FitError(f"max_iter must be an integer, got {self.max_iter!r}")
+        if self.max_iter < 1:
             raise FitError("max_iter must be an integer of at least 1")
 
 
@@ -335,7 +341,7 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
     rows, cw, total = np.arange(n_rows), cws, cws[:, 1::2] + cws[:, 0::2]
     theta = np.zeros((n_rows, n_models))
     z = np.zeros((n_rows, n_cells))
-    f = _cold_value(total)  # the objective at theta, NaN where not yet computed
+    f = _cold_value(total)  # the objective at theta
     iterations = 0
 
     def retire(idx, codes, gnorm):
@@ -381,48 +387,32 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
         for i in redo:
             d[i], slope[i] = _direction(h[i], g[i])
 
-        # A row that took a full step needs its objective value again; computing it
-        # for a row that then takes another full step changes nothing.
-        stale = np.isnan(f)
-        if stale.any():
-            f[stale] = _value(fr, z[stale], theta[stale], cw[stale][:, 1::2], total[stale], ridge)
+        # One step path: each row's line search starts at the full step, taken
+        # unconditionally by a row in the quadratic basin (as ``_minimize`` tells it)
+        # and by the Armijo test otherwise; rows that fail halve their steps in
+        # lockstep. ``_minimize``'s basin step lies outside its ``_MAX_HALVINGS``
+        # candidates, so one round runs even with none, and only those test Armijo.
+        # An accepted candidate keeps its objective: ``f`` is always that at ``theta``.
         basin = ((gnorm <= _PURE_NEWTON_GRAD) | (-slope <= _LINE_SEARCH_RESOLUTION * np.abs(f))) & (
             np.abs(d).max(axis=1) <= 1.0)
-        if basin.any():
-            theta[basin, 1:] += d[basin]
-            z[basin] = differences(theta[basin])
-            f[basin] = np.nan
-
-        # Line searches in lockstep: the rows still searching share one step length.
-        search = np.flatnonzero(~basin)
-        searching = (theta, d, f, slope, cw, total)
-        if search.size < k:
-            searching = tuple(a[search] for a in searching)
-        s_theta, s_d, s_f, s_slope, s_cw, s_total = searching
-        step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            if not search.size:
-                break
-            cand = s_theta.copy()
-            cand[:, 1:] += step * s_d
+        search, step = np.ones(k, dtype=bool), 1.0  # the rows yet to accept a step
+        for attempt in range(max(_MAX_HALVINGS, 1)):
+            cand = theta.copy()
+            cand[:, 1:] += step * d
             z_cand = differences(cand)
-            f_cand = _value(fr, z_cand, cand, s_cw[:, 1::2], s_total, ridge)
-            ok = f_cand <= s_f + _ARMIJO * step * s_slope
-            if search.size == k and ok.all():
+            f_cand = _value(fr, z_cand, cand, cw[:, 1::2], total, ridge)
+            ok = search & (basin | ((attempt < _MAX_HALVINGS) & (f_cand <= f + _ARMIJO * step * slope)))
+            if ok.all():
                 theta, z, f = cand, z_cand, f_cand
-                search = search[:0]
+            else:
+                theta[ok], z[ok], f[ok] = cand[ok], z_cand[ok], f_cand[ok]
+            search &= ~ok
+            if not search.any():
                 break
-            done = search[ok]
-            theta[done], z[done], f[done] = cand[ok], z_cand[ok], f_cand[ok]
-            search = search[~ok]
-            s_theta, s_d, s_f, s_slope, s_cw, s_total = (
-                a[~ok] for a in (s_theta, s_d, s_f, s_slope, s_cw, s_total))
             step *= 0.5
-        if search.size:  # the line-search floor, reached before the gradient tolerance
-            retire(search, _FLOOR, gnorm)
-            go = np.ones(k, dtype=bool)
-            go[search] = False
-            rows, cw, total, theta, z, f = (a[go] for a in (rows, cw, total, theta, z, f))
+        if search.any():  # the line-search floor, reached before the gradient tolerance
+            retire(np.flatnonzero(search), _FLOOR, gnorm)
+            rows, cw, total, theta, z, f = (a[~search] for a in (rows, cw, total, theta, z, f))
             fr = _head(stack, rows.size)
         iterations += 1
 

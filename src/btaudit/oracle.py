@@ -15,7 +15,7 @@ import numpy as np
 
 from .arena import Arena
 from .btmodel import BtFit, FitError, SolverOptions, _minimize_stack, _stacked_class_weights, fit, sigmoid
-from .robustness import _canonical_pair, _reversed
+from .robustness import _canonical_pair, _require_integer, _reversed
 
 __all__ = [
     "BruteForceResult",
@@ -93,19 +93,18 @@ def random_spec(
     seed: int,
     n_models: int | None = None,
     target_matchups: int = 20,
-    spread: float = 1.5,
 ) -> SynthSpec:
     """Connected random spec for self-validation sweeps.
 
     A chain through all models guarantees an identified fit; the remaining
-    games pair models uniformly at random. Structure is drawn from a stream
-    decorrelated from the outcome stream that ``generate`` uses.
+    games pair models uniformly at random, and strengths lie in [-1.5, 1.5].
+    Structure comes from a stream decorrelated from the outcome stream of ``generate``.
     """
     rng = np.random.Generator(np.random.PCG64(int(np.uint64(seed) ^ np.uint64(0xD1B54A32D192ED03))))
     m = int(n_models) if n_models is not None else int(rng.integers(2, 6))
     if target_matchups < m - 1:
         raise ValueError("target_matchups must cover the connectivity backbone")
-    strengths = (0.0, *(float(x) for x in rng.uniform(-spread, spread, m - 1)))
+    strengths = (0.0, *(float(x) for x in rng.uniform(-1.5, 1.5, m - 1)))
     schedule = [(k, k + 1, 1) for k in range(m - 1)]
     while len(schedule) < target_matchups:
         a = int(rng.integers(0, m))
@@ -146,6 +145,7 @@ def brute_force_pair(
     span two sizes. ``refits_performed`` counts the subsets up to and including
     the answer (all of them when none flips), not the rows a chunk solved past it.
     """
+    _require_integer("budget", budget)
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if budget > _MAX_BRUTE_BUDGET:

@@ -65,6 +65,12 @@ def _alpha_count(alpha: float, n_matchups: int) -> int:
     return math.floor(Fraction(repr(alpha)) * n_matchups)
 
 
+def _require_integer(name: str, value) -> None:
+    """Refuse a ``value`` of the integer parameter ``name`` that is not one; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DropBudget:
     """How many matchups an adversary may remove: a fraction of N or a raw count."""
@@ -78,10 +84,10 @@ class DropBudget:
         if self.alpha is not None:
             if not isinstance(self.alpha, numbers.Real) or not 0.0 < self.alpha < 1.0:
                 raise ValueError(f"alpha must be a number in (0, 1), got {self.alpha!r}")
-        elif isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
-            raise ValueError(f"count must be an integer, got {self.count!r}")
-        elif self.count < 1:
-            raise ValueError("count must be at least 1")
+        else:
+            _require_integer("count", self.count)
+            if self.count < 1:
+                raise ValueError("count must be at least 1")
 
     def resolve(self, n_matchups: int) -> int:
         """The drop count on N rows: floor(alpha * N), alpha read as the decimal it prints as."""
@@ -361,6 +367,7 @@ def check_topk(
     first verified non-robust pair; otherwise all k(M-k) pairs are examined.
     """
     _check_arena(arena, bt)
+    _require_integer("k", k)
     order = ranking(bt).order
     if not 1 <= k < len(order):
         raise ValueError(f"k must satisfy 1 <= k < {len(order)}, got {k}")
@@ -413,6 +420,7 @@ def min_drop_search(
     returned, so the result is a true minimum over this selection rule.
     """
     _check_arena(arena, bt)
+    _require_integer("max_budget", max_budget)
     if max_budget < 1:
         raise ValueError("max_budget must be at least 1")
     last: RobustnessReport | None = None

@@ -406,6 +406,39 @@ def test_stack_rows_stop_for_every_reason_as_their_own_solves(monkeypatch):
     reference._assert_stack_matches(arena, cws, options)
 
 
+def test_stack_rows_in_the_basin_step_with_no_halvings_left(monkeypatch):
+    # ``_minimize`` takes a basin step apart from its line-search candidates, so
+    # with none left a row in the quadratic basin still steps, while a row that
+    # needs the Armijo test stops at the floor at once.
+    import btaudit.btmodel as btmodel_mod
+    import test_solver_reference as reference
+
+    monkeypatch.setattr(btmodel_mod, "_MAX_HALVINGS", 0)
+    monkeypatch.setattr(reference, "_MAX_HALVINGS", 0)
+    arena = generate(round_robin_spec(2, n_models=3))
+    cws = np.array([
+        [1e8, 1e8 + 1, 1e8, 1e8, 1e8, 1e8],  # full steps below the objective's resolution
+        [2.0, 1.0, 3.0, 1.0, 1.0, 2.0],
+    ])
+    options = SolverOptions()
+    reasons = btmodel_mod._minimize_stack(arena.cells, cws, arena.n_models, options)[1]
+    assert reasons == ["max_iter", "line_search_floor"]
+    reference._assert_stack_matches(arena, cws, options)
+
+
+def test_solver_options_refuse_bools_and_values_that_are_not_numbers():
+    # A bool is an int to Python: max_iter=True would fit with one iteration and ridge=True with 1.0.
+    for name in ("ridge", "tol", "max_iter"):
+        for value in (True, False, None, "0.1"):
+            with pytest.raises(FitError, match=name):
+                SolverOptions(**{name: value})
+    with pytest.raises(FitError, match="ridge must be a real number"):
+        SolverOptions(ridge=1j)
+    got = SolverOptions(ridge=np.float32(0.5), tol=np.float64(1e-9), max_iter=np.int32(5))
+    assert (got.ridge, got.tol, got.max_iter) == (0.5, 1e-9, 5)
+    assert SolverOptions(ridge=0, tol=1).ridge == 0
+
+
 def test_solver_options_reject_a_tolerance_or_iteration_cap_they_cannot_use():
     # An infinite tolerance would stop every fit at its first iterate and call it converged.
     for tol in (np.inf, np.nan, 0.0, -1e-8):

@@ -769,3 +769,26 @@ def test_threads_sharing_one_drop_order_memo_match_serial():
         assert rows.tolist() == expected.tolist()
         assert row_scores.tobytes() == scores[cells.row_class[expected]].tobytes()
     assert [_report_bytes(check_topk(arena, shared, k, b, method=m)) for k, b, m in jobs] == serial
+
+
+def test_audits_refuse_counts_that_are_not_integers():
+    # A float count used to fail deep inside with a bare TypeError, and a bool ran as 1.
+    arena = generate(random_spec(3, n_models=4, target_matchups=16))
+    bt = fit(arena)
+    a, b = ranking(bt).order[:2]
+    for value in (1.5, 2.0, True, "1", None):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            check_topk(arena, bt, value, DropBudget(count=1))
+        with pytest.raises(ValueError, match="max_budget must be an integer"):
+            min_drop_search(arena, bt, a, b, max_budget=value)
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            brute_force_pair(arena, a, b, value)
+        if value is not None:  # a count of None leaves the budget unset
+            with pytest.raises(ValueError, match="count must be an integer"):
+                DropBudget(count=value)
+    # numpy integers stay accepted, and give the same answers as Python ints.
+    assert check_topk(arena, bt, np.int64(1), DropBudget(count=1)) == check_topk(
+        arena, bt, 1, DropBudget(count=1))
+    assert min_drop_search(arena, bt, a, b, max_budget=np.int32(2)) == min_drop_search(
+        arena, bt, a, b, max_budget=2)
+    assert brute_force_pair(arena, a, b, np.int64(1)) == brute_force_pair(arena, a, b, 1)
