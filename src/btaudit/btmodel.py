@@ -82,7 +82,9 @@ class BtFit:
     apart from an internal cache, filled on first use and read-only, that holds
     everything derived from the fit for the fit's lifetime: one curvature
     factorization, each model's class influence (at most M vectors of
-    2 * cells floats) and each audited pair's drop order.
+    2 * cells floats), each audited pair's drop order and each report a pair
+    check returned without a refit. Only a drop order is ever replaced, when
+    a larger count selects again; every other entry never changes once set.
     ``stop_reason`` says why the solver stopped: ``"tol"`` (the gradient
     tolerance was met), ``"max_iter"``, ``"line_search_floor"`` (no step
     decreased the objective) or ``"divergence"`` (scores drifted past the

@@ -176,18 +176,21 @@ def cmd_fit(args) -> int:
 
 def cmd_check_topk(args) -> int:
     arena = _load_arena(args)
-    for k in args.k:
+    # A repeated --k or budget is audited once, in the order first given.
+    ks = dict.fromkeys(args.k)
+    for k in ks:
         if not 1 <= k < arena.n_models:
             raise ValueError(f"k={k} out of range [1, {arena.n_models})")
     budgets = [DropBudget(alpha=a) for a in args.alpha or ()]
     budgets += [DropBudget(count=c) for c in args.count or ()]
+    budgets = dict.fromkeys(budgets)
     if not budgets:
         raise ValueError("at least one --alpha or --count budget is required")
     bt = fit(arena, options=SolverOptions(ridge=args.ridge, tol=args.tol))
     out = _out_dir(args)
 
     any_non_robust = False
-    for k in args.k:
+    for k in ks:
         for budget in budgets:
             tk = check_topk(arena, bt, k, budget, method=args.method,
                             always_refit=args.always_refit)

@@ -8,8 +8,12 @@ and pair influence keeps them per class.
 Everything derived from a fit lives in its cache, read-only, for the fit's
 lifetime: the factor, each model's class influence (filled as targets are
 needed, at most M vectors of 2 * cells floats), and each audited pair's drop
-order (``check_pair``). Every call, inside an audit or not, reads and fills
-the same entries, so its answers do not depend on what ran before.
+order and reports (``check_pair``). Every call, inside an audit or not, reads
+and fills the same entries, so its answers do not depend on what ran before.
+The factor, a class influence and a report are stored with ``setdefault``,
+so each never changes once set: of two threads that race to fill one, both
+return the first one stored. Only a drop order is replaced, when a larger
+count selects again.
 """
 
 from __future__ import annotations
@@ -92,8 +96,7 @@ def hessian_factor(bt: BtFit) -> HessianFactor:
     """The fit's cached factorization; built on first use."""
     fac = bt._cache.get("hessian_factor")
     if fac is None:
-        fac = HessianFactor(bt)
-        bt._cache["hessian_factor"] = fac
+        fac = bt._cache.setdefault("hessian_factor", HessianFactor(bt))  # a racing thread's stays
     return fac
 
 

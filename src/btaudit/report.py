@@ -168,11 +168,12 @@ TOPK_PAIR_COLUMNS = ("leader", "challenger", "gap_before", "verdict",
 
 
 def topk_pair_rows(tk: TopKReport) -> list[dict]:
-    """One row per pair checked, keyed by ``TOPK_PAIR_COLUMNS``."""
-    return [dict(zip(TOPK_PAIR_COLUMNS, (
-        rep.pair_names[0], rep.pair_names[1], _fmt(rep.gap_before), rep.verdict,
-        _fmt(rep.predicted_flip), _fmt(rep.refit_performed), len(rep.dropped),
-    ))) for rep in tk.per_pair]
+    """One row per pair checked, keyed by ``TOPK_PAIR_COLUMNS`` in their order."""
+    return [{"leader": rep.pair_names[0], "challenger": rep.pair_names[1],
+             "gap_before": _fmt(rep.gap_before), "verdict": rep.verdict,
+             "predicted_flip": _fmt(rep.predicted_flip),
+             "refit_performed": _fmt(rep.refit_performed), "dropped_count": len(rep.dropped)}
+            for rep in tk.per_pair]
 
 
 def leaderboard_rows(bt: BtFit) -> list[dict]:
@@ -215,8 +216,18 @@ def render_leaderboard(bt: BtFit, dataset: str = "-") -> str:
 
 
 def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Iterable[Mapping]) -> None:
+    """Write a header and one line per row, byte for byte as ``csv.DictWriter`` does.
+
+    A key a row lacks writes an empty field; a key outside ``fieldnames`` raises
+    ValueError.
+    """
+    allowed = set(fieldnames)
+    blanks = [""] * len(fieldnames)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow(row)
+            if not row.keys() <= allowed:
+                raise ValueError("dict contains fields not in fieldnames: "
+                                 + ", ".join(repr(key) for key in row.keys() - allowed))
+            writer.writerow(map(row.get, fieldnames, blanks))

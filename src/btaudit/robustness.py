@@ -284,7 +284,6 @@ def _drop_order(bt: BtFit, ia: int, ib: int, method: str, count: int):
     smaller count's drop set is a prefix, since selection takes the first
     ``count`` rows of one total order. A larger count selects again.
     """
-    _check_fit(bt)  # a hit must not skip the check a miss makes
     memo = bt._cache.setdefault("drop_orders", {})
     entry = memo.get((ia, ib, method))
     if entry is None or entry[2] < count:
@@ -312,17 +311,33 @@ def check_pair(
     and ``method``: the rows selected for the largest count checked so far and
     each row's class score. A smaller count reads a prefix, bit-identical to
     selecting afresh; a larger one selects again. Its memory is two arrays
-    per (pair, method), each as long as the largest count checked. A Newton
-    check served from the memo does not repeat the saturated-leverage warning.
+    per (pair, method), each as long as the largest count checked.
+
+    A report returned without a refit is stored on the fit too, keyed by the
+    canonical pair, ``budget`` and ``method``; a later check with that key
+    returns it after the same arena, pair and convergence checks, with no
+    selection and no influence. It is the report a fresh fit would give,
+    since a report is a frozen value of (fit, pair, budget, method). Its
+    memory is one report per distinct key. ``always_refit=True`` neither
+    reads nor fills this store, and a report that refit is never stored. A
+    Newton check served from either memo does not repeat the
+    saturated-leverage warning.
 
     The refit reuses the base fit's options and starts from the canonical
     origin, so exactly symmetric reduced datasets land on score ties (a gap
     within rounding of zero is not a flip), and re-running ``refit_without``
     on the reported indices reproduces the reported outcome bit for bit.
-    Every check that refits calls ``refit_without``; the memo never skips one.
+    Every check that refits calls ``refit_without``; neither memo skips one.
     """
     _check_arena(arena, bt)
     ia, ib = _canonical_pair(bt, a, b)
+    _check_fit(bt)  # a hit must not skip the checks a miss makes
+    # always_refit reads and fills a throwaway store: nothing it checks is kept.
+    reports = {} if always_refit else bt._cache.setdefault("reports", {})
+    key = ia, ib, budget, method
+    report = reports.get(key)
+    if report is not None:
+        return report
     before = float(bt.scores[ia]), float(bt.scores[ib])
     count = budget.resolve(arena.n_matchups)
 
@@ -338,7 +353,7 @@ def check_pair(
                      refit_iterations=after.iterations)
 
     names = bt.arena.models.names
-    return RobustnessReport(
+    report = RobustnessReport(
         pair=(ia, ib),
         pair_names=(names[ia], names[ib]),
         n_matchups=arena.n_matchups,
@@ -349,6 +364,9 @@ def check_pair(
         scores_before=before,
         **refit,
     )
+    if refit:
+        return report
+    return reports.setdefault(key, report)  # a racing thread's equal report stays
 
 
 def check_topk(

@@ -229,6 +229,49 @@ def test_alphas_that_print_alike_under_six_digits_write_their_own_reports(worksp
         assert parse_report(report)["budget"] == f"alpha={alpha}"
 
 
+def test_repeated_k_and_budgets_are_audited_once(workspace, capsys):
+    args = ["check-topk", workspace["dataset"], "--schema", workspace["schema"], "--out", workspace["out"]]
+    code = main(args + ["--k", "1", "--k", "1", "--count", "1", "--count", "1",
+                        "--alpha", "0.5", "--alpha", "0.5"])
+    assert code in (0, 2)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["k=1 alpha=0.5", "k=1 count=1"]
+    out = workspace["root"] / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "topk_k1_alpha0.5.txt", "topk_k1_alpha0.5_pairs.csv", "topk_k1_count1.txt", "topk_k1_count1_pairs.csv"]
+    # Alphas that differ are distinct budgets, however alike they print.
+    code = main(args + ["--k", "1", "--alpha", "0.3333333", "--alpha", "0.3333333333333333"])
+    assert code in (0, 2)
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "k=1 alpha=0.3333333", "k=1 alpha=0.3333333333333333"]
+
+
+def test_csv_writer_matches_dict_writer_byte_for_byte(tmp_path):
+    import csv
+    import io
+
+    from btaudit.report import write_csv
+
+    fieldnames = ["name", "note", "value", "flag", "empty"]
+    rows = [
+        {"name": "plain", "note": "a, b", "value": 0.1, "flag": True, "empty": None},
+        {"name": 'say "hi"', "note": "two\nlines", "value": -0.0, "flag": False, "empty": ""},
+        {"name": "missing", "value": 1e300},  # "note", "flag" and "empty" are absent
+        {"note": "\r\n, \"", "value": float("nan"), "flag": None, "empty": 3, "name": "out of order"},
+        {},
+    ]
+    expected = io.StringIO(newline="")
+    writer = csv.DictWriter(expected, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    write_csv(tmp_path / "rows.csv", fieldnames, rows)
+    assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    with pytest.raises(ValueError, match="dict contains fields not in fieldnames: 'extra'"):
+        write_csv(tmp_path / "bad.csv", fieldnames, [rows[0], dict(rows[0], extra=1)])
+    with pytest.raises(ValueError, match="fields not in fieldnames"):
+        csv.DictWriter(io.StringIO(), fieldnames=fieldnames).writerow(dict(rows[0], extra=1))
+
+
 def test_csv_errors_exit_with_an_error_line(workspace, capsys):
     import csv
 

@@ -297,3 +297,27 @@ def test_pair_influence_is_bit_identical_inside_an_audit(method):
     check_topk(arena, warm, 3, DropBudget(count=3), method=method)
     assert warm._cache["class_influence"] is memo
     assert all(memo[t] is v for t, v in entries.items())
+
+
+def test_the_cached_factor_never_changes_once_set(monkeypatch):
+    # A thread that builds the factor while another stores its own must return
+    # the stored one. Here the first construction asks for the factor itself,
+    # as a racing thread would; the outer call must return what that one stored.
+    import btaudit.influence as influence_mod
+
+    bt = fit(generate(random_spec(5, n_models=4, target_matchups=30)))
+    real = influence_mod.HessianFactor
+    inner = []
+
+    class Racing(real):
+        def __init__(self, fit_):
+            if not inner:
+                inner.append(None)
+                inner[0] = influence_mod.hessian_factor(fit_)
+            super().__init__(fit_)
+
+    monkeypatch.setattr(influence_mod, "HessianFactor", Racing)
+    outer = influence_mod.hessian_factor(bt)
+    assert isinstance(inner[0], real)
+    assert outer is inner[0] is bt._cache["hessian_factor"]
+    assert influence_mod.hessian_factor(bt) is outer

@@ -792,3 +792,143 @@ def test_audits_refuse_counts_that_are_not_integers():
     assert min_drop_search(arena, bt, a, b, max_budget=np.int32(2)) == min_drop_search(
         arena, bt, a, b, max_budget=2)
     assert brute_force_pair(arena, a, b, np.int64(1)) == brute_force_pair(arena, a, b, 1)
+
+
+def _hex(rep):
+    """A pair report with every float as its hex string, so -0.0 and 0.0 differ."""
+    return rep, rep.predicted_delta.hex(), [x.hex() for x in rep.scores_before + (rep.scores_after or ())]
+
+
+def _count_stages(monkeypatch, names=("pair_influence", "select_drop_set", "refit_without")):
+    """Replace the pair check's stages with counting wrappers; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        real = getattr(robustness_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(robustness_mod, name, counting(name))
+    return calls
+
+
+def test_a_repeat_check_returns_the_stored_report_without_work(monkeypatch):
+    arena = generate(random_spec(75, n_models=5, target_matchups=120))
+    bt = fit(arena)
+    a, b = ranking(bt).order[:2]
+    budget = DropBudget(count=1)
+    calls = _count_stages(monkeypatch)
+    first = check_pair(arena, bt, a, b, budget)
+    assert not first.refit_performed
+    assert calls == {"pair_influence": 1, "select_drop_set": 1, "refit_without": 0}
+    assert bt._cache["reports"] == {(a, b, budget, "if"): first}
+    for _ in range(3):
+        assert check_pair(arena, bt, a, b, DropBudget(count=1)) is first
+    assert calls == {"pair_influence": 1, "select_drop_set": 1, "refit_without": 0}
+    assert _hex(first) == _hex(check_pair(arena, fit(arena), a, b, budget))
+
+
+def test_a_check_that_refits_is_never_stored(monkeypatch):
+    arena = generate(random_spec(75, n_models=5, target_matchups=120))
+    bt = fit(arena)
+    a, b = ranking(bt).order[:2]
+    budget = next(DropBudget(count=c) for c in range(1, 40)
+                  if check_pair(arena, fit(arena), a, b, DropBudget(count=c)).refit_performed)
+    calls = _count_stages(monkeypatch, ("refit_without",))
+    reports = [check_pair(arena, bt, a, b, budget) for _ in range(3)]
+    assert calls["refit_without"] == 3
+    assert reports[0] == reports[1] == reports[2] and reports[0].predicted_flip
+    assert (a, b, budget, "if") not in bt._cache["reports"]
+
+
+def test_always_refit_neither_reads_nor_fills_the_report_memo(monkeypatch):
+    arena = generate(random_spec(75, n_models=5, target_matchups=120))
+    bt = fit(arena)
+    a, b = ranking(bt).order[:2]
+    calls = _count_stages(monkeypatch, ("refit_without",))
+    refit = check_pair(arena, bt, a, b, DropBudget(count=1), always_refit=True)
+    check_topk(arena, bt, 2, DropBudget(count=2), always_refit=True)
+    assert "reports" not in bt._cache
+    # A stored report does not stand in for a refit either.
+    stored = check_pair(arena, bt, a, b, DropBudget(count=1))
+    assert not stored.refit_performed and refit.refit_performed
+    before = calls["refit_without"]
+    assert check_pair(arena, bt, a, b, DropBudget(count=1), always_refit=True) == refit
+    assert calls["refit_without"] == before + 1
+
+
+def test_a_count_and_an_alpha_that_resolve_alike_keep_their_own_reports():
+    arena = generate(random_spec(75, n_models=5, target_matchups=120))
+    bt = fit(arena)
+    a, b = ranking(bt).order[:2]
+    alpha = DropBudget(alpha=0.02)
+    assert alpha.resolve(arena.n_matchups) == 2
+    by_alpha = check_pair(arena, bt, a, b, alpha)
+    by_count = check_pair(arena, bt, a, b, DropBudget(count=2))
+    assert by_count.budget.label() == "count=2" and by_alpha.budget.label() == alpha.label()
+    assert by_count.dropped == by_alpha.dropped and by_count != by_alpha
+    assert check_pair(arena, bt, a, b, alpha) is by_alpha
+    assert check_pair(arena, bt, a, b, DropBudget(count=2)) is by_count
+
+
+def test_report_memo_is_keyed_by_canonical_pair_and_method():
+    arena = generate(random_spec(71, n_models=5, target_matchups=80))
+    bt = fit(arena)
+    a, b = ranking(bt).order[:2]
+    budget = DropBudget(count=1)
+    forward = check_pair(arena, bt, a, b, budget)
+    assert check_pair(arena, bt, b, a, budget) is forward
+    assert check_pair(arena, bt, arena.models.names[b], arena.models.names[a], budget) is forward
+    newton = check_pair(arena, bt, a, b, budget, method="newton")
+    assert newton.method == "newton" and newton is not forward
+    assert _hex(newton) == _hex(check_pair(arena, fit(arena), a, b, budget, method="newton"))
+    assert sorted(bt._cache["reports"], key=lambda key: key[3]) == [(a, b, budget, "if"),
+                                                                  (a, b, budget, "newton")]
+
+
+def test_a_stored_report_still_passes_the_checks_a_miss_makes():
+    arena = generate(random_spec(71, n_models=5, target_matchups=80))
+    bt = fit(arena)
+    a, b = ranking(bt).order[:2]
+    budget = DropBudget(count=1)
+    check_pair(arena, bt, a, b, budget)
+    unconverged = dataclasses.replace(bt, converged=False)
+    assert unconverged._cache is bt._cache and (a, b, budget, "if") in bt._cache["reports"]
+    with pytest.raises(FitError, match="converged"):
+        check_pair(arena, unconverged, a, b, budget)
+    with pytest.raises(FitError, match="converged"):
+        check_topk(arena, unconverged, 1, budget)
+    twin = generate(random_spec(71, n_models=5, target_matchups=80))  # equal, not the same
+    with pytest.raises(ValueError, match="another arena"):
+        check_pair(twin, bt, a, b, budget)
+    with pytest.raises(ValueError, match="distinct"):
+        check_pair(arena, bt, a, a, budget)
+    with pytest.raises(KeyError, match="unknown model"):
+        check_pair(arena, bt, a, "nobody", budget)
+
+
+def test_threads_sharing_one_report_memo_match_serial_audits():
+    arena = generate(random_spec(77, n_models=6, target_matchups=150))
+    budgets = [DropBudget(count=c) for c in (3, 1, 2)] + [DropBudget(alpha=0.02)]
+    jobs = [(k, b, m) for b in budgets for k in (1, 2, 3, 4, 5) for m in ("if", "newton")]
+    serial = [_report_bytes(check_topk(arena, fit(arena), k, b, method=m)) for k, b, m in jobs]
+    shared = fit(arena)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(
+                lambda job: _report_bytes(check_topk(arena, shared, job[0], job[1], method=job[2])),
+                jobs + jobs[::-1], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial + serial[::-1]
+    memo = shared._cache["reports"]
+    assert memo and not any(rep.refit_performed for rep in memo.values())
+    for (ia, ib, budget, method), rep in memo.items():
+        assert _hex(rep) == _hex(check_pair(arena, fit(arena), ia, ib, budget, method=method))
+        assert check_pair(arena, shared, ib, ia, budget, method=method) is rep
