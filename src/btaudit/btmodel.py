@@ -82,9 +82,8 @@ class BtFit:
     apart from an internal cache, filled on first use and read-only, that holds
     everything derived from the fit for the fit's lifetime: one curvature
     factorization, each model's class influence (at most M vectors of
-    2 * cells floats), each audited pair's drop order and each report a pair
-    check returned without a refit. Only a drop order is ever replaced, when
-    a larger count selects again; every other entry never changes once set.
+    2 * cells floats) and each report a pair check returned without a refit.
+    Every entry is set once and never replaced.
     ``stop_reason`` says why the solver stopped: ``"tol"`` (the gradient
     tolerance was met), ``"max_iter"``, ``"line_search_floor"`` (no step
     decreased the objective) or ``"divergence"`` (scores drifted past the
@@ -314,13 +313,20 @@ _TOL, _MAX_ITER, _DIVERGENCE, _FLOOR, _NON_FINITE = 1, 2, 3, 4, 5
 _STOP_REASONS = (None, "tol", "max_iter", "divergence", "line_search_floor", None)
 
 
-def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: SolverOptions):
+def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: SolverOptions,
+                    settled=None):
     """``_minimize`` from a cold start for each row of the class weights ``cws``, all at once.
 
     The same core and steps, so each row's results are bit-identical to its own
     solve. Rows leave the stack as they stop, so the rows still in it share one
     iteration count. Returns (theta, stop_reason, iterations, gradient_norm), an
     entry per row; a row where ``_minimize`` would raise stops with reason None.
+
+    ``settled``, when given, may end the solve early. The rows before the first
+    one still iterating have all stopped; each time that prefix grows, ``settled``
+    is called with the scores of the rows that joined it, in order. Once it returns
+    True, or one of those rows met non-finite values, the rows still iterating are
+    abandoned: their entries keep reason None, 0 iterations and zero scores.
     """
     n_rows, n_cells = cws.shape[0], cells.n_cells
     ridge, tol = options.ridge, options.tol
@@ -344,7 +350,7 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
     theta = np.zeros((n_rows, n_models))
     z = np.zeros((n_rows, n_cells))
     f = _cold_value(total)  # the objective at theta
-    iterations = 0
+    iterations = lead = 0  # rows before ``lead`` have stopped, and ``settled`` has seen them
 
     def retire(idx, codes, gnorm):
         """Record the rows at positions ``idx`` as stopped at the current iterate."""
@@ -375,6 +381,11 @@ def _minimize_stack(cells: PairCells, cws: np.ndarray, n_models: int, options: S
             if not rows.size:
                 break
             fr = _head(stack, rows.size)
+        # The live rows stay in stack order, so the first of them ends the stopped prefix.
+        if settled is not None and rows[0] > lead:
+            joined, lead = slice(lead, int(rows[0])), int(rows[0])
+            if (out_code[joined] == _NON_FINITE).any() or settled(out_theta[joined]):
+                break
         k = rows.size
 
         # _direction for each row: one stacked solve, _direction itself where it fails.
@@ -505,12 +516,11 @@ def ranking(fit_or_scores) -> Ranking:
     else:
         scores = np.asarray(fit_or_scores, dtype=np.float64)
     order = np.lexsort((np.arange(scores.size), -scores))
-    ties = tuple(
-        (int(order[r]), int(order[r + 1]))
-        for r in range(scores.size - 1)
-        if scores[order[r]] == scores[order[r + 1]]
-    )
-    return Ranking(order=tuple(int(k) for k in order), tie_note=ties)
+    ranked = scores[order]
+    # Neighbours whose scores compare equal: -0.0 ties 0.0, and NaN ties nothing.
+    tied = np.flatnonzero(ranked[:-1] == ranked[1:])
+    ties = tuple(zip(order[tied].tolist(), order[tied + 1].tolist()))
+    return Ranking(order=tuple(order.tolist()), tie_note=ties)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,11 @@ and pair influence keeps them per class.
 
 Everything derived from a fit lives in its cache, read-only, for the fit's
 lifetime: the factor, each model's class influence (filled as targets are
-needed, at most M vectors of 2 * cells floats), and each audited pair's drop
-order and reports (``check_pair``). Every call, inside an audit or not, reads
-and fills the same entries, so its answers do not depend on what ran before.
-The factor, a class influence and a report are stored with ``setdefault``,
-so each never changes once set: of two threads that race to fill one, both
-return the first one stored. Only a drop order is replaced, when a larger
-count selects again.
+needed, at most M vectors of 2 * cells floats), and each audited pair's
+reports (``check_pair``). Every call, inside an audit or not, reads and fills
+the same entries, so its answers do not depend on what ran before. Every entry
+is stored with ``setdefault``, so it is set once and never replaced: of two
+threads that race to fill one, both return the first one stored.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arena import Arena
 from .btmodel import BtFit, FitError, SolverOptions, _minimize_stack, _stacked_class_weights, fit, sigmoid
-from .robustness import _canonical_pair, _require_integer, _reversed
+from .robustness import _distinct_pair, _leader_first, _require_integer, _reversed
 
 __all__ = [
     "BruteForceResult",
@@ -28,11 +28,10 @@ __all__ = [
 ]
 
 _MAX_BRUTE_BUDGET = 4
-# Subsets are refit together in chunks of one stream over sizes 1..budget: the
-# first holds 64 of them, each next one twice as many, until the chunk's dense
-# curvature matrices, 0/1 row weights and their bin numbers (8 * (M² + 2N) bytes
-# a subset) would pass this many bytes.
-_FIRST_CHUNK = 64
+# Subsets are refit together in chunks: the first holds the full-data fit and every
+# subset of size 1 and 2, each next one every subset of one larger size. A chunk is
+# split only where its dense curvature matrices, 0/1 row weights and their bin
+# numbers (8 * (M² + 2N) bytes a row) would pass this many bytes.
 _STACK_BYTES = 1 << 20
 
 
@@ -141,9 +140,12 @@ def brute_force_pair(
     minimal ones, or flip_exists=False. Enumeration beyond the refit cap is
     refused outright, never silently truncated. Subsets are enumerated by size,
     and lexicographically within a size, and refit a chunk at a time, as one
-    stacked solve whose rows are bit-identical to single refits; a chunk can
-    span two sizes. ``refits_performed`` counts the subsets up to and including
-    the answer (all of them when none flips), not the rows a chunk solved past it.
+    stacked solve whose rows are bit-identical to single refits. The first chunk
+    opens with the full-data fit, which orders the pair, and holds every subset
+    of size 1 and 2; each later chunk holds one larger size. A chunk's solve ends
+    once every row up to its first flip or non-finite refit has stopped.
+    ``refits_performed`` counts the subsets up to and including the answer (all
+    of them when none flips), not the full-data fit or rows solved past the answer.
     """
     _require_integer("budget", budget)
     if budget < 0:
@@ -151,12 +153,9 @@ def brute_force_pair(
     if budget > _MAX_BRUTE_BUDGET:
         raise ValueError(f"budget {budget} above the exhaustive-search limit ({_MAX_BRUTE_BUDGET})")
     options = options or SolverOptions()
-
-    ia, ib = _canonical_pair(fit(arena, options=options), a, b)
+    ia, ib = _distinct_pair(arena.models, a, b)
 
     n = arena.n_matchups
-    if budget == 0:
-        return BruteForceResult(False, None, 0)
     sizes = range(1, min(budget, n - 1) + 1)
     total = sum(comb(n, s) for s in sizes)
     if total > max_refits:
@@ -167,29 +166,44 @@ def brute_force_pair(
     # Cold starts and the flip test match the refit-verification procedure:
     # exactly symmetric reduced datasets land on score ties, and a tie is not a flip.
     # Class weights come from each subset's 0/1 row weights, not from refit_without's
-    # subtraction, so the oracle stays an independent check of it.
+    # subtraction, so the oracle stays an independent check of it. The empty subset's
+    # are the cells' class counts, so its row is the full-data fit bit for bit.
     cells, m = arena.cells, arena.n_models
     cap = max(1, _STACK_BYTES // (8 * (m * m + 2 * n)))
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(n), s) for s in sizes)
-    chunk = min(_FIRST_CHUNK, cap)
-    performed = 0
-    while block := list(itertools.islice(subsets, chunk)):
-        rows = len(block)
-        lengths = np.fromiter(map(len, block), dtype=np.intp, count=rows)
-        dropped = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp,
-                              count=int(lengths.sum()))
-        w = np.ones((rows, n))
-        w[np.repeat(np.arange(rows), lengths), dropped] = 0.0
-        scores, reasons, _, _ = _minimize_stack(cells, _stacked_class_weights(cells, w), m, options)
-        # The tie rule of ``reverses``, on the rows before the first that met non-finite values.
-        solved = reasons.index(None) if None in reasons else rows
-        flips = np.flatnonzero(_reversed(scores[:solved, ia], scores[:solved, ib]))
-        if flips.size:
-            return BruteForceResult(True, block[flips[0]], performed + int(flips[0]) + 1)
-        if solved < rows:
-            raise FitError(f"the refit without matchups {block[solved]} met non-finite values")
-        performed += rows
-        chunk = min(2 * chunk, cap)
+    subsets = [itertools.combinations(range(n), s) for s in sizes]
+    chunks = [itertools.chain([()], *subsets[:2]), *subsets[2:]]
+    pair = None  # (leader, challenger), once the full-data fit has ordered them
+
+    def flips(theta):
+        """The tie rule of ``reverses`` on each row; the first row ever seen is the full-data fit."""
+        nonlocal pair
+        if pair is None:
+            pair = _leader_first(theta[0], ia, ib)
+        return _reversed(theta[:, pair[0]], theta[:, pair[1]])
+
+    performed = -1  # the full-data fit is no subset's refit
+    for chunk in chunks:
+        while block := list(itertools.islice(chunk, cap)):
+            rows = len(block)
+            lengths = np.fromiter(map(len, block), dtype=np.intp, count=rows)
+            dropped = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp,
+                                  count=int(lengths.sum()))
+            w = np.ones((rows, n))
+            w[np.repeat(np.arange(rows), lengths), dropped] = 0.0
+            scores, reasons, _, _ = _minimize_stack(cells, _stacked_class_weights(cells, w), m, options,
+                                                    lambda theta: flips(theta).any())
+            # Rows stopped with reason None from the first that met non-finite values or
+            # was abandoned; the stop test leaves the answer before either.
+            solved = reasons.index(None) if None in reasons else rows
+            hits = np.flatnonzero(flips(scores[:solved])) if solved else ()
+            if len(hits):
+                return BruteForceResult(True, block[hits[0]], performed + int(hits[0]) + 1)
+            if solved < rows:
+                if not block[solved]:
+                    raise FitError("non-finite values encountered during fitting"
+                                   " (possible separation with ridge = 0)")
+                raise FitError(f"the refit without matchups {block[solved]} met non-finite values")
+            performed += rows
     return BruteForceResult(False, None, performed)
 
 

@@ -224,16 +224,25 @@ def _check_arena(arena: Arena, bt: BtFit) -> None:
         raise ValueError("the fit was made on another arena; audit the arena it was fit to")
 
 
-def _canonical_pair(bt: BtFit, a, b) -> tuple[int, int]:
-    """Order so the first model has the weakly higher score; ties to the lower index."""
-    ia = bt.arena.models.resolve(a)
-    ib = bt.arena.models.resolve(b)
+def _distinct_pair(models, a, b) -> tuple[int, int]:
+    """The indices of two distinct models of a registry."""
+    ia, ib = models.resolve(a), models.resolve(b)
     if ia == ib:
         raise ValueError("a pair needs two distinct models")
-    sa, sb = float(bt.scores[ia]), float(bt.scores[ib])
+    return ia, ib
+
+
+def _leader_first(scores, ia: int, ib: int) -> tuple[int, int]:
+    """Order so the first model has the weakly higher score; ties to the lower index."""
+    sa, sb = float(scores[ia]), float(scores[ib])
     if sa < sb or (sa == sb and ia > ib):
         return ib, ia
     return ia, ib
+
+
+def _canonical_pair(bt: BtFit, a, b) -> tuple[int, int]:
+    """The pair ordered by the fit's scores, as ``_leader_first`` orders it."""
+    return _leader_first(bt.scores, *_distinct_pair(bt.arena.models, a, b))
 
 
 def select_drop_set(scores: np.ndarray, cells: PairCells, count: int) -> np.ndarray:
@@ -277,24 +286,6 @@ def select_drop_set(scores: np.ndarray, cells: PairCells, count: int) -> np.ndar
     return np.array([r for _, r in picked[:count]], dtype=np.int64)
 
 
-def _drop_order(bt: BtFit, ia: int, ib: int, method: str, count: int):
-    """The canonical pair's ``(rows, row_scores, count)`` from the fit's memo.
-
-    ``rows`` were selected for ``count``, at least the count asked for: each
-    smaller count's drop set is a prefix, since selection takes the first
-    ``count`` rows of one total order. A larger count selects again.
-    """
-    memo = bt._cache.setdefault("drop_orders", {})
-    entry = memo.get((ia, ib, method))
-    if entry is None or entry[2] < count:
-        cells = bt.arena.cells
-        scores = pair_influence(bt, ia, ib, method=method)
-        rows = select_drop_set(scores, cells, count)
-        entry = rows, scores[cells.row_class[rows]], count
-        memo[ia, ib, method] = entry
-    return entry
-
-
 def check_pair(
     arena: Arena,
     bt: BtFit,
@@ -307,27 +298,22 @@ def check_pair(
 ) -> RobustnessReport:
     """Audit one pair: select a worst-case drop set, predict, and refit to verify.
 
-    The drop set is read from a memo on the fit, keyed by the canonical pair
-    and ``method``: the rows selected for the largest count checked so far and
-    each row's class score. A smaller count reads a prefix, bit-identical to
-    selecting afresh; a larger one selects again. Its memory is two arrays
-    per (pair, method), each as long as the largest count checked.
-
-    A report returned without a refit is stored on the fit too, keyed by the
-    canonical pair, ``budget`` and ``method``; a later check with that key
-    returns it after the same arena, pair and convergence checks, with no
-    selection and no influence. It is the report a fresh fit would give,
-    since a report is a frozen value of (fit, pair, budget, method). Its
-    memory is one report per distinct key. ``always_refit=True`` neither
-    reads nor fills this store, and a report that refit is never stored. A
-    Newton check served from either memo does not repeat the
-    saturated-leverage warning.
+    A report returned without a refit is stored on the fit, keyed by the
+    canonical pair, ``budget`` and ``method``, and never replaced; a later
+    check with that key returns it after the same arena, pair and convergence
+    checks, with no selection and no influence. It is the report a fresh fit
+    would give, since a report is a frozen value of (fit, pair, budget,
+    method). Its memory is one report per distinct key. ``always_refit=True``
+    neither reads nor fills this store, and a report that refit is never
+    stored. A Newton check served from the store does not repeat the
+    saturated-leverage warning. Any other check selects its drop set afresh
+    from the pair's class scores.
 
     The refit reuses the base fit's options and starts from the canonical
     origin, so exactly symmetric reduced datasets land on score ties (a gap
     within rounding of zero is not a flip), and re-running ``refit_without``
     on the reported indices reproduces the reported outcome bit for bit.
-    Every check that refits calls ``refit_without``; neither memo skips one.
+    Every check that refits calls ``refit_without``; the store skips none.
     """
     _check_arena(arena, bt)
     ia, ib = _canonical_pair(bt, a, b)
@@ -341,9 +327,10 @@ def check_pair(
     before = float(bt.scores[ia]), float(bt.scores[ib])
     count = budget.resolve(arena.n_matchups)
 
-    rows, row_scores, _ = _drop_order(bt, ia, ib, method, count)
-    dropped = rows[:count]
-    delta = float(-row_scores[:count].sum()) if dropped.size else 0.0
+    cells = arena.cells
+    scores = pair_influence(bt, ia, ib, method=method)
+    dropped = select_drop_set(scores, cells, count)
+    delta = float(-scores[cells.row_class[dropped]].sum()) if dropped.size else 0.0
 
     refit = {}
     if dropped.size and (always_refit or _predicts_flip(before, delta)):

@@ -301,6 +301,44 @@ def test_ranking_order_and_ties():
     assert r.tie_note == ((1, 2),)
 
 
+def _reference_ranking(scores):
+    """``ranking``'s tie list as one comparison of numpy scalars per neighbour, kept verbatim."""
+    order = np.lexsort((np.arange(scores.size), -scores))
+    ties = tuple(
+        (int(order[r]), int(order[r + 1]))
+        for r in range(scores.size - 1)
+        if scores[order[r]] == scores[order[r + 1]]
+    )
+    return tuple(int(k) for k in order), ties
+
+
+@given(scores=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, float("nan")])
+                       | st.floats(allow_nan=True, allow_infinity=True), min_size=2, max_size=12))
+def test_ranking_matches_the_pairwise_tie_loop(scores):
+    scores = np.array(scores)
+    r = ranking(scores)
+    assert (r.order, r.tie_note) == _reference_ranking(scores)
+    assert all(type(i) is int for pair in r.tie_note for i in pair)
+
+
+def test_ranking_ties_on_chosen_scores():
+    nan = float("nan")
+    cases = {
+        (1.0, 1.0): (0, 1),  # two models, tied
+        (0.5, 1.5): (),  # two models, apart
+        (0.0, -0.0, 0.0): (0, 1),  # -0.0 equals 0.0
+        (nan, 1.0, nan): (),  # NaN equals nothing
+        (3.0,) * 6: (0, 1),
+        (2.0, 1.0, 2.0, 1.0): (0, 2),
+    }
+    for scores, first_tie in cases.items():
+        scores = np.array(scores)
+        r = ranking(scores)
+        assert (r.order, r.tie_note) == _reference_ranking(scores)
+        assert r.tie_note[:1] == ((first_tie,) if first_tie else ())
+    assert len(ranking(np.full(6, 3.0)).tie_note) == 5
+
+
 def test_head_to_head(arena_3_1):
     h = head_to_head(arena_3_1, 0, 1)
     assert (h.wins_a, h.wins_b) == (3, 1)

@@ -217,14 +217,11 @@ def _top_pair(seed, n):
     return arena, first, second
 
 
-def test_chunks_that_span_subset_sizes_match_one_refit_per_subset(monkeypatch):
-    # The first chunk holds every single drop and the first three pairs; the
-    # next ones double, and one of them crosses from pairs to triples.
-    import btaudit.oracle as oracle_mod
-
+def test_chunks_that_span_subset_sizes_match_one_refit_per_subset():
+    # The first chunk holds the full-data fit, every single drop and every
+    # pair; the next one holds every triple.
     for (seed, n), size in _FLIP_SIZES.items():
         arena, first, second = _top_pair(seed, n)
-        monkeypatch.setattr(oracle_mod, "_FIRST_CHUNK", arena.n_matchups + 3)
         want = reference_brute_force_pair(arena, first, second, 3)
         assert len(want.minimal_subset or ()) == size
         assert brute_force_pair(arena, first, second, 3) == want
@@ -235,10 +232,10 @@ def _fail_refit_at(monkeypatch, position):
     non-finite values, with infinite scores."""
     import btaudit.oracle as oracle_mod
 
-    real, seen = oracle_mod._minimize_stack, [0]
+    real, seen = oracle_mod._minimize_stack, [-1]  # the first row solved is the full-data fit
 
-    def stack(cells, cws, n_models, options):
-        theta, reasons, iterations, gnorms = real(cells, cws, n_models, options)
+    def stack(cells, cws, n_models, options, settled=None):
+        theta, reasons, iterations, gnorms = real(cells, cws, n_models, options, settled)
         row = position - seen[0]
         seen[0] += len(reasons)
         if 0 <= row < len(reasons):
@@ -251,11 +248,8 @@ def _fail_refit_at(monkeypatch, position):
 def test_a_failed_refit_stops_the_search_only_at_or_before_the_answer(monkeypatch):
     # Tier-1 turns warnings into errors, so the failed row's infinite scores
     # must stay out of the chunk's flip test.
-    import btaudit.oracle as oracle_mod
-
     for seed, n in ((802, 10), (813, 10), (803, 12), (800, 10)):
         arena, first, second = _top_pair(seed, n)
-        monkeypatch.setattr(oracle_mod, "_FIRST_CHUNK", arena.n_matchups + 3)
         want = reference_brute_force_pair(arena, first, second, 3)
         answer = want.refits_performed - 1  # the last subset when none flips
         for position in sorted({0, answer - 1, answer, answer + 1, answer + 20} - {-1}):
@@ -266,3 +260,136 @@ def test_a_failed_refit_stops_the_search_only_at_or_before_the_answer(monkeypatc
                         brute_force_pair(arena, first, second, 3)
                 else:
                     assert brute_force_pair(arena, first, second, 3) == want
+
+
+# ---- the schedule: chunks by subset size, each stopped at its answer ----
+
+
+def _record_solves(monkeypatch):
+    """Record each stacked solve's results, and each row's iterations when solved to the end."""
+    import btaudit.oracle as oracle_mod
+
+    real, solves = oracle_mod._minimize_stack, []
+
+    def stack(cells, cws, n_models, options, settled=None):
+        result = real(cells, cws, n_models, options, settled)
+        solves.append((*result[:2], real(cells, cws, n_models, options)[2]))
+        return result
+
+    monkeypatch.setattr(oracle_mod, "_minimize_stack", stack)
+    return solves
+
+
+@pytest.mark.parametrize("seed, n, slow_first", [(860, 10, False), (804, 9, True)],
+                         ids=["slow-row-after-the-answer", "slow-row-before-the-answer"])
+def test_a_chunk_stops_once_every_row_up_to_its_answer_has_stopped(monkeypatch, seed, n, slow_first):
+    # A ridge-bounded separation takes 12 or more iterations; these answers,
+    # both in the first chunk, take at most 5. A slow row after the answer is
+    # abandoned; one before it is waited for, since it could flip first.
+    arena, first, second = _top_pair(seed, n)
+    want = reference_brute_force_pair(arena, first, second, 3)
+    solves = _record_solves(monkeypatch)
+    assert brute_force_pair(arena, first, second, 3) == want
+    [(_, reasons, iterations)] = solves
+    answer = want.refits_performed  # row 0 is the full-data fit
+    slow = np.flatnonzero(iterations >= 12)
+    assert iterations[answer] <= 5 and slow.size
+    assert None not in reasons[:answer + 1]
+    if slow_first:
+        assert slow[0] < answer
+    else:
+        assert slow[0] > answer and all(reasons[r] is None for r in slow)
+
+
+def _poison_row_at(monkeypatch, position):
+    """Give the subset at enumeration ``position`` (-1 for the full-data fit) NaN class
+    weights, so its stacked refit meets non-finite values at its first iterate."""
+    import btaudit.oracle as oracle_mod
+
+    real, seen = oracle_mod._stacked_class_weights, [-1]
+
+    def weights(cells, w):
+        cws = real(cells, w)
+        row = position - seen[0]
+        seen[0] += len(cws)
+        if 0 <= row < len(cws):
+            cws[row] = np.nan
+        return cws
+
+    monkeypatch.setattr(oracle_mod, "_stacked_class_weights", weights)
+
+
+def test_a_non_finite_refit_in_the_answers_chunk_raises_only_before_the_answer(monkeypatch):
+    # The non-finite row stops at once, while the rows around it still iterate.
+    arena, first, second = _top_pair(860, 10)
+    want = reference_brute_force_pair(arena, first, second, 3)
+    answer = want.refits_performed - 1
+    last = arena.n_matchups + arena.n_matchups * (arena.n_matchups - 1) // 2 - 1  # the first chunk's
+    for position in (0, answer - 1, answer, answer + 1, answer + 2, last):
+        with monkeypatch.context() as patch:
+            _poison_row_at(patch, position)
+            if position <= answer:
+                with pytest.raises(FitError, match="refit without matchups .* non-finite"):
+                    brute_force_pair(arena, first, second, 3)
+            else:
+                assert brute_force_pair(arena, first, second, 3) == want
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1], ids=["default-chunks", "one-row-chunks"])
+def test_a_non_finite_full_data_fit_raises_as_fit_did(monkeypatch, stack_bytes):
+    import btaudit.oracle as oracle_mod
+
+    if stack_bytes is not None:
+        monkeypatch.setattr(oracle_mod, "_STACK_BYTES", stack_bytes)
+    arena, first, second = _top_pair(860, 10)
+    for budget in (0, 3):
+        with monkeypatch.context() as patch:
+            _poison_row_at(patch, -1)
+            with pytest.raises(FitError, match="^non-finite values encountered during fitting"):
+                brute_force_pair(arena, first, second, budget)
+
+
+@pytest.mark.parametrize("budget, cases", [
+    (1, {(801, 8): 1, (802, 10): 1, (813, 10): 0, (800, 10): 0}),
+    (4, {(800, 8): 4, (817, 9): 4, (805, 9): 0}),
+], ids=["singles-only", "budget-4"])
+def test_searches_at_budgets_1_and_4_match_one_refit_per_subset(monkeypatch, budget, cases):
+    # Keyed (seed, n) as _FLIP_SIZES, by the size of the minimal flip at this budget.
+    solves = _record_solves(monkeypatch)
+    for (seed, n), size in cases.items():
+        arena, first, second = _top_pair(seed, n)
+        solves.clear()
+        want = reference_brute_force_pair(arena, first, second, budget)
+        assert len(want.minimal_subset or ()) == size
+        assert brute_force_pair(arena, first, second, budget) == want
+        if not size:  # every chunk runs: the full-data fit with sizes 1 and 2, then one a size
+            chunks = [1 + n + (comb(n, 2) if budget > 1 else 0)] + [comb(n, s) for s in range(3, budget + 1)]
+            assert [len(reasons) for _, reasons, _ in solves] == chunks
+
+
+def test_one_row_chunks_solve_the_full_data_fit_alone_first(monkeypatch):
+    import btaudit.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "_STACK_BYTES", 1)
+    solves = _record_solves(monkeypatch)
+    for seed, n in ((813, 10), (800, 10)):
+        arena, first, second = _top_pair(seed, n)
+        solves.clear()
+        want = reference_brute_force_pair(arena, first, second, 3)
+        assert brute_force_pair(arena, first, second, 3) == want
+        assert [len(reasons) for _, reasons, _ in solves] == [1] * (want.refits_performed + 1)
+        assert solves[0][0][0].tobytes() == fit(arena).scores.tobytes()
+
+
+def test_budget_zero_solves_only_the_full_data_fit_and_keeps_its_errors(monkeypatch):
+    arena, first, second = _top_pair(813, 10)
+    solves = _record_solves(monkeypatch)
+    assert brute_force_pair(arena, first, second, 0) == BruteForceResult(False, None, 0)
+    assert [len(reasons) for _, reasons, _ in solves] == [1]
+    for a, b in (("nope", first), (first, first), (first, 99)):
+        raised = []
+        for search in (brute_force_pair, reference_brute_force_pair):
+            with pytest.raises((KeyError, IndexError, ValueError)) as caught:
+                search(arena, a, b, 0)
+            raised.append((caught.type, str(caught.value)))
+        assert raised[0] == raised[1]

@@ -657,9 +657,9 @@ def _report_bytes(tk):
 
 
 def test_warm_audits_on_one_fit_equal_cold_audits():
-    # One fit serves every audit, in a shuffled order, so a pair's drop order
-    # is reused for smaller counts, extended for larger ones and reused again
-    # at the same count; each report must equal the one from a fresh fit.
+    # One fit serves every audit, in a shuffled order, so its cached factor,
+    # class influence and stored reports serve counts in any order; each
+    # report must equal the one from a fresh fit.
     budgets = [DropBudget(count=c) for c in (1, 2, 3, 5, 12)]
     budgets += [DropBudget(alpha=a) for a in (0.02, 0.25)]
     rng = np.random.default_rng(29)
@@ -673,30 +673,16 @@ def test_warm_audits_on_one_fit_equal_cold_audits():
             cold = check_topk(arena, fit(arena), k, b, method=m, always_refit=refit)
             hot = check_topk(arena, warm, k, b, method=m, always_refit=refit)
             assert _report_bytes(hot) == _report_bytes(cold)
-        counts = {b.resolve(arena.n_matchups) for b in budgets}
-        memo = warm._cache["drop_orders"]
-        assert memo and all(count in counts for _, _, count in memo.values())
 
 
-def test_drop_order_memo_is_keyed_by_canonical_pair_and_method(monkeypatch):
+def test_checks_on_one_fit_agree_in_either_pair_order_and_refuse_bad_inputs():
     arena = generate(random_spec(71, n_models=5, target_matchups=80))
     bt = fit(arena)
-    calls = []
-    real = robustness_mod.pair_influence
-
-    def counted(bt, a, b, method="if"):
-        calls.append((a, b, method))
-        return real(bt, a, b, method=method)
-
-    monkeypatch.setattr(robustness_mod, "pair_influence", counted)
     a, b = ranking(bt).order[:2]
     forward = check_pair(arena, bt, a, b, DropBudget(count=3))
     assert check_pair(arena, bt, b, a, DropBudget(count=3)) == forward
     assert check_pair(arena, bt, b, a, DropBudget(count=2)).dropped == forward.dropped[:2]
-    assert calls == [(a, b, "if")] and list(bt._cache["drop_orders"]) == [(a, b, "if")]
-    check_pair(arena, bt, a, b, DropBudget(count=3), method="newton")
-    assert calls == [(a, b, "if"), (a, b, "newton")]
-    assert sorted(bt._cache["drop_orders"]) == [(a, b, "if"), (a, b, "newton")]
+    assert check_pair(arena, bt, a, b, DropBudget(count=3), method="newton").method == "newton"
     # A warm fit still rejects a bad method, and a fit that is not converged
     # (here one sharing the warm fit's cache) still refuses influence.
     with pytest.raises(ValueError, match="method must be"):
@@ -741,10 +727,9 @@ def test_smaller_counts_select_prefixes_of_larger_ones():
                 assert eligible < arena.n_matchups - 1
 
 
-def test_threads_sharing_one_drop_order_memo_match_serial():
-    # Threads on one fit race to fill, extend and reuse the same memo entries
-    # with counts in any order; a slower thread may store a shorter order over
-    # a longer one, which costs a recomputation and no wrong answer.
+def test_threads_auditing_one_fit_match_serial():
+    # Threads on one fit race to fill and read the same cache entries (the
+    # factor, class influence and stored reports) with counts in any order.
     arena = generate(random_spec(73, n_models=6, target_matchups=150))
     budgets = [DropBudget(count=c) for c in (4, 1, 3, 2)] + [DropBudget(alpha=0.03)]
     jobs = [(k, b, m) for b in budgets for k in (1, 2, 3, 4) for m in ("if", "newton")]
@@ -760,14 +745,6 @@ def test_threads_sharing_one_drop_order_memo_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial + serial[::-1]
-    cells = arena.cells
-    memo = shared._cache["drop_orders"]
-    assert memo
-    for (ia, ib, method), (rows, row_scores, count) in memo.items():
-        scores = pair_influence(fit(arena), ia, ib, method=method)
-        expected = select_drop_set(scores, cells, count)
-        assert rows.tolist() == expected.tolist()
-        assert row_scores.tobytes() == scores[cells.row_class[expected]].tobytes()
     assert [_report_bytes(check_topk(arena, shared, k, b, method=m)) for k, b, m in jobs] == serial
 
 
