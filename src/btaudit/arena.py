@@ -65,6 +65,13 @@ class ModelRegistry:
             raise IndexError(f"model index {idx} out of range [0, {len(self._names)})")
         return idx
 
+    def resolve_pair(self, a: int | str, b: int | str) -> tuple[int, int]:
+        """Resolve two models, as ``resolve`` does each, and refuse the same one twice."""
+        ia, ib = self.resolve(a), self.resolve(b)
+        if ia == ib:
+            raise ValueError("a pair needs two distinct models")
+        return ia, ib
+
 
 @dataclass(frozen=True)
 class IngestStats:

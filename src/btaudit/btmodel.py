@@ -537,10 +537,7 @@ class HeadToHead:
 
 
 def head_to_head(arena: Arena, a: int | str, b: int | str) -> HeadToHead:
-    ia = arena.models.resolve(a)
-    ib = arena.models.resolve(b)
-    if ia == ib:
-        raise ValueError("head-to-head needs two distinct models")
+    ia, ib = arena.models.resolve_pair(a, b)
     # The pair's cell counts the lower-index model's wins in class 2c + 1, the other's in 2c.
     cells, (lo, hi) = arena.cells, sorted((ia, ib))
     c = int(np.searchsorted(cells.slots[0], lo * arena.n_models + hi))

@@ -19,6 +19,7 @@ from .btmodel import FitError, SolverOptions, fit, head_to_head, ranking
 from .influence import influence_scores
 from .oracle import brute_force_pair, finite_difference_influence, generate, random_spec
 from .report import (
+    LEADERBOARD_COLUMNS,
     TOPK_PAIR_COLUMNS,
     leaderboard_rows,
     parse_report,
@@ -166,8 +167,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     text = render_leaderboard(bt, dataset=args.dataset)
     (out / "leaderboard.txt").write_text(text, encoding="utf-8")
-    rows = leaderboard_rows(bt)
-    write_csv(out / "leaderboard.csv", ["rank", "model", "score", "elo", "matchups"], rows)
+    write_csv(out / "leaderboard.csv", LEADERBOARD_COLUMNS, leaderboard_rows(bt))
     print(arena.summary())
     print(f"wrote {out / 'leaderboard.txt'}")
     print(f"wrote {out / 'leaderboard.csv'}")
@@ -267,6 +267,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.arenas < 0:
+        raise ValueError(f"--arenas must be non-negative, got {args.arenas}")
     sound = True
     non_robust = misses = 0
     for i in range(args.arenas):

@@ -158,10 +158,7 @@ def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") ->
     warning, and the refit step keeps verdicts exact.
     """
     _check_fit(bt)
-    ia = bt.arena.models.resolve(a)
-    ib = bt.arena.models.resolve(b)
-    if ia == ib:
-        raise ValueError("pair influence needs two distinct models")
+    ia, ib = bt.arena.models.resolve_pair(a, b)
     if method == "if":
         per_target = _class_influence
     elif method == "newton":

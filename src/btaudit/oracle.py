@@ -15,7 +15,7 @@ import numpy as np
 
 from .arena import Arena
 from .btmodel import BtFit, FitError, SolverOptions, _minimize_stack, _stacked_class_weights, fit, sigmoid
-from .robustness import _distinct_pair, _leader_first, _require_integer, _reversed
+from .robustness import _leader_first, _require_integer, _reversed
 
 __all__ = [
     "BruteForceResult",
@@ -98,7 +98,10 @@ def random_spec(
     A chain through all models guarantees an identified fit; the remaining
     games pair models uniformly at random, and strengths lie in [-1.5, 1.5].
     Structure comes from a stream decorrelated from the outcome stream of ``generate``.
+    A seed outside [0, 2**64) raises ValueError.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
     rng = np.random.Generator(np.random.PCG64(int(np.uint64(seed) ^ np.uint64(0xD1B54A32D192ED03))))
     m = int(n_models) if n_models is not None else int(rng.integers(2, 6))
     if target_matchups < m - 1:
@@ -153,7 +156,7 @@ def brute_force_pair(
     if budget > _MAX_BRUTE_BUDGET:
         raise ValueError(f"budget {budget} above the exhaustive-search limit ({_MAX_BRUTE_BUDGET})")
     options = options or SolverOptions()
-    ia, ib = _distinct_pair(arena.models, a, b)
+    ia, ib = arena.models.resolve_pair(a, b)
 
     n = arena.n_matchups
     sizes = range(1, min(budget, n - 1) + 1)

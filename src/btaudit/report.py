@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .arena import Arena, elo_transform
 from .btmodel import BtFit, head_to_head, ranking
@@ -165,32 +165,24 @@ def render_min_drop_report(
 
 TOPK_PAIR_COLUMNS = ("leader", "challenger", "gap_before", "verdict",
                      "predicted_flip", "refit_performed", "dropped_count")
+LEADERBOARD_COLUMNS = ("rank", "model", "score", "elo", "matchups")
 
 
-def topk_pair_rows(tk: TopKReport) -> list[dict]:
-    """One row per pair checked, keyed by ``TOPK_PAIR_COLUMNS`` in their order."""
-    return [{"leader": rep.pair_names[0], "challenger": rep.pair_names[1],
-             "gap_before": _fmt(rep.gap_before), "verdict": rep.verdict,
-             "predicted_flip": _fmt(rep.predicted_flip),
-             "refit_performed": _fmt(rep.refit_performed), "dropped_count": len(rep.dropped)}
+def topk_pair_rows(tk: TopKReport) -> list[tuple]:
+    """One tuple per pair checked, its fields in ``TOPK_PAIR_COLUMNS`` order."""
+    return [(rep.pair_names[0], rep.pair_names[1], _fmt(rep.gap_before), rep.verdict,
+             _fmt(rep.predicted_flip), _fmt(rep.refit_performed), len(rep.dropped))
             for rep in tk.per_pair]
 
 
-def leaderboard_rows(bt: BtFit) -> list[dict]:
-    """One row per model, best first: score, display rating, matchup count."""
+def leaderboard_rows(bt: BtFit) -> list[tuple]:
+    """One tuple per model, best first, its fields in ``LEADERBOARD_COLUMNS`` order."""
     arena = bt.arena
     display = elo_transform(bt.scores)
     counts = arena.occurrence_counts()
-    rows = []
-    for rank, idx in enumerate(ranking(bt).order, start=1):
-        rows.append({
-            "rank": rank,
-            "model": arena.models.names[idx],
-            "score": _fmt(float(bt.scores[idx])),
-            "elo": _fmt(float(display[idx])),
-            "matchups": int(counts[idx]),
-        })
-    return rows
+    return [(rank, arena.models.names[idx], _fmt(float(bt.scores[idx])),
+             _fmt(float(display[idx])), int(counts[idx]))
+            for rank, idx in enumerate(ranking(bt).order, start=1)]
 
 
 def render_leaderboard(bt: BtFit, dataset: str = "-") -> str:
@@ -208,26 +200,14 @@ def render_leaderboard(bt: BtFit, dataset: str = "-") -> str:
             ("source_rows", arena.stats.source_rows),
         ]
     fields += _solver_fields(bt)
-    rows = leaderboard_rows(bt)
-    fields.append(("columns", "rank model score elo matchups"))
-    for row in rows:
-        fields.append(("row", f"{row['rank']} {row['model']} {row['score']} {row['elo']} {row['matchups']}"))
+    fields.append(("columns", " ".join(LEADERBOARD_COLUMNS)))
+    fields += [("row", " ".join(map(str, row))) for row in leaderboard_rows(bt)]
     return _render("leaderboard", fields)
 
 
-def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Iterable[Mapping]) -> None:
-    """Write a header and one line per row, byte for byte as ``csv.DictWriter`` does.
-
-    A key a row lacks writes an empty field; a key outside ``fieldnames`` raises
-    ValueError.
-    """
-    allowed = set(fieldnames)
-    blanks = [""] * len(fieldnames)
+def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and one line per row, each row's fields in ``fieldnames`` order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for row in rows:
-            if not row.keys() <= allowed:
-                raise ValueError("dict contains fields not in fieldnames: "
-                                 + ", ".join(repr(key) for key in row.keys() - allowed))
-            writer.writerow(map(row.get, fieldnames, blanks))
+        writer.writerows(rows)

@@ -224,14 +224,6 @@ def _check_arena(arena: Arena, bt: BtFit) -> None:
         raise ValueError("the fit was made on another arena; audit the arena it was fit to")
 
 
-def _distinct_pair(models, a, b) -> tuple[int, int]:
-    """The indices of two distinct models of a registry."""
-    ia, ib = models.resolve(a), models.resolve(b)
-    if ia == ib:
-        raise ValueError("a pair needs two distinct models")
-    return ia, ib
-
-
 def _leader_first(scores, ia: int, ib: int) -> tuple[int, int]:
     """Order so the first model has the weakly higher score; ties to the lower index."""
     sa, sb = float(scores[ia]), float(scores[ib])
@@ -242,7 +234,7 @@ def _leader_first(scores, ia: int, ib: int) -> tuple[int, int]:
 
 def _canonical_pair(bt: BtFit, a, b) -> tuple[int, int]:
     """The pair ordered by the fit's scores, as ``_leader_first`` orders it."""
-    return _leader_first(bt.scores, *_distinct_pair(bt.arena.models, a, b))
+    return _leader_first(bt.scores, *bt.arena.models.resolve_pair(a, b))
 
 
 def select_drop_set(scores: np.ndarray, cells: PairCells, count: int) -> np.ndarray:

@@ -271,6 +271,22 @@ def test_registry_resolves_names_and_integer_indices_only():
         models.resolve("m3")
 
 
+def test_one_pair_resolver_refuses_the_same_model_twice(arena_3_1):
+    from btaudit import DropBudget, brute_force_pair, check_pair, fit, head_to_head, pair_influence
+
+    assert arena_3_1.models.resolve_pair("beta", 0) == (1, 0)
+    bt = fit(arena_3_1)
+    for resolve in (arena_3_1.models.resolve_pair,
+                    lambda a, b: head_to_head(arena_3_1, a, b),
+                    lambda a, b: pair_influence(bt, a, b),
+                    lambda a, b: check_pair(arena_3_1, bt, a, b, DropBudget(count=1)),
+                    lambda a, b: brute_force_pair(arena_3_1, a, b, 1)):
+        with pytest.raises(ValueError, match="^a pair needs two distinct models$"):
+            resolve("alpha", np.int64(0))
+        with pytest.raises(KeyError, match="unknown model 'gamma'"):
+            resolve("gamma", "gamma")
+
+
 def test_occurrence_counts_sum_to_twice_n(arena_3_1):
     counts = arena_3_1.occurrence_counts()
     assert counts.sum() == 2 * arena_3_1.n_matchups

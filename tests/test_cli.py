@@ -246,7 +246,7 @@ def test_repeated_k_and_budgets_are_audited_once(workspace, capsys):
         "k=1 alpha=0.3333333", "k=1 alpha=0.3333333333333333"]
 
 
-def test_csv_writer_matches_dict_writer_byte_for_byte(tmp_path):
+def test_csv_writer_writes_sequence_rows_as_csv_writer_does(tmp_path):
     import csv
     import io
 
@@ -254,22 +254,100 @@ def test_csv_writer_matches_dict_writer_byte_for_byte(tmp_path):
 
     fieldnames = ["name", "note", "value", "flag", "empty"]
     rows = [
-        {"name": "plain", "note": "a, b", "value": 0.1, "flag": True, "empty": None},
-        {"name": 'say "hi"', "note": "two\nlines", "value": -0.0, "flag": False, "empty": ""},
-        {"name": "missing", "value": 1e300},  # "note", "flag" and "empty" are absent
-        {"note": "\r\n, \"", "value": float("nan"), "flag": None, "empty": 3, "name": "out of order"},
-        {},
+        ("plain", "a, b", 0.1, True, None),
+        ('say "hi"', "two\nlines", -0.0, False, ""),
+        ("floats", 1e300, float("nan"), None, 3),
+        ("\r\n, \"", "tail", "", "", ""),
+        (),
     ]
     expected = io.StringIO(newline="")
-    writer = csv.DictWriter(expected, fieldnames=fieldnames)
-    writer.writeheader()
+    writer = csv.writer(expected)
+    writer.writerow(fieldnames)
     writer.writerows(rows)
     write_csv(tmp_path / "rows.csv", fieldnames, rows)
     assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode("utf-8")
-    with pytest.raises(ValueError, match="dict contains fields not in fieldnames: 'extra'"):
-        write_csv(tmp_path / "bad.csv", fieldnames, [rows[0], dict(rows[0], extra=1)])
-    with pytest.raises(ValueError, match="fields not in fieldnames"):
-        csv.DictWriter(io.StringIO(), fieldnames=fieldnames).writerow(dict(rows[0], extra=1))
+    # A generator of lists writes the same bytes as a list of tuples.
+    write_csv(tmp_path / "lists.csv", fieldnames, (list(row) for row in rows))
+    assert (tmp_path / "lists.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def _reference_topk_pair_rows(tk) -> list[dict]:
+    """The dict rows ``report.topk_pair_rows`` built before it built tuples, verbatim."""
+    from btaudit.report import _fmt
+
+    return [{"leader": rep.pair_names[0], "challenger": rep.pair_names[1],
+             "gap_before": _fmt(rep.gap_before), "verdict": rep.verdict,
+             "predicted_flip": _fmt(rep.predicted_flip),
+             "refit_performed": _fmt(rep.refit_performed), "dropped_count": len(rep.dropped)}
+            for rep in tk.per_pair]
+
+
+def _reference_leaderboard_rows(bt) -> list[dict]:
+    """The dict rows ``report.leaderboard_rows`` built before it built tuples, verbatim."""
+    from btaudit.arena import elo_transform
+    from btaudit.btmodel import ranking
+    from btaudit.report import _fmt
+
+    arena = bt.arena
+    display = elo_transform(bt.scores)
+    counts = arena.occurrence_counts()
+    rows = []
+    for rank, idx in enumerate(ranking(bt).order, start=1):
+        rows.append({
+            "rank": rank,
+            "model": arena.models.names[idx],
+            "score": _fmt(float(bt.scores[idx])),
+            "elo": _fmt(float(display[idx])),
+            "matchups": int(counts[idx]),
+        })
+    return rows
+
+
+def _dict_writer_bytes(fieldnames, rows) -> bytes:
+    import csv
+    import io
+
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def test_tuple_rows_write_the_bytes_dict_rows_wrote(tmp_path):
+    from btaudit import Arena, DropBudget, check_topk, fit, generate, random_spec
+    from btaudit.report import (LEADERBOARD_COLUMNS, TOPK_PAIR_COLUMNS, leaderboard_rows,
+                                topk_pair_rows, write_csv)
+
+    arenas = [
+        # The challenger's only data are two losses to the leader: dropping them
+        # leaves it unidentified, so that pair's verdict is degenerate.
+        Arena.from_records(["ref", 'lead, "er"', "camper\n"],
+                           [(1, 0, 1), (1, 0, 1), (0, 1, 1), (0, 1, 1), (1, 2, 1), (1, 2, 1)]),
+        Arena.from_records(["alpha", "beta"], [(0, 1, 1)] * 3 + [(0, 1, 0)]),
+        generate(random_spec(77, n_models=4, target_matchups=24)),
+        generate(random_spec(5, n_models=5, target_matchups=40)),
+    ]
+    path = tmp_path / "rows.csv"
+    verdicts, outcomes = set(), set()
+    for arena in arenas:
+        bt = fit(arena)
+        write_csv(path, LEADERBOARD_COLUMNS, leaderboard_rows(bt))
+        assert path.read_bytes() == _dict_writer_bytes(LEADERBOARD_COLUMNS,
+                                                       _reference_leaderboard_rows(bt))
+        for method in ("if", "newton"):
+            for always_refit in (False, True):
+                for k in range(1, min(3, arena.n_models - 1) + 1):
+                    for count in (1, 2, 3):
+                        tk = check_topk(arena, bt, k, DropBudget(count=count), method=method,
+                                        always_refit=always_refit)
+                        write_csv(path, TOPK_PAIR_COLUMNS, topk_pair_rows(tk))
+                        assert path.read_bytes() == _dict_writer_bytes(
+                            TOPK_PAIR_COLUMNS, _reference_topk_pair_rows(tk))
+                        verdicts.update(rep.verdict for rep in tk.per_pair)
+                        outcomes.add("robust" if tk.robust else "non-robust")
+    assert verdicts == {"robust", "non-robust", "degenerate"}
+    assert outcomes == {"robust", "non-robust"}
 
 
 def test_csv_errors_exit_with_an_error_line(workspace, capsys):
@@ -380,6 +458,17 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "selftest:" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "error: seed -100003 outside [0, 2**64)"),
+    (["--arenas", "-3"], "error: --arenas must be non-negative, got -3"),
+    (["--seed", "200000000000000"], "error: seed 20000600000000000000 outside [0, 2**64)"),
+])
+def test_selftest_refuses_seeds_and_arena_counts_it_cannot_use(flags, message, capsys):
+    assert main(["selftest", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
 
 
 def test_console_script_runs():

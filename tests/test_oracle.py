@@ -119,6 +119,15 @@ def test_random_spec_is_connected_and_sized():
     assert np.all(arena.occurrence_counts() > 0)
 
 
+def test_random_spec_refuses_seeds_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"seed {seed} outside"):
+            random_spec(seed)
+    spec = random_spec(2**64 - 1, n_models=3, target_matchups=6)
+    assert spec == random_spec(2**64 - 1, n_models=3, target_matchups=6)
+    assert generate(spec).n_matchups == 6
+
+
 def test_brute_force_finds_minimal_three_win_subset(arena_3_1):
     result = brute_force_pair(arena_3_1, 0, 1, 3)
     assert result.flip_exists
