@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -314,35 +313,14 @@ SCHEMA_PRESETS: dict[str, IngestSchema] = {
 }
 
 
-def _open_text(source: str | Path | IO[str] | IO[bytes]):
-    """Return (text stream, release). Paths and byte streams may start with a UTF-8 BOM.
-
-    ``release`` closes a file opened here or detaches the wrapper made over a
-    caller's byte stream, which stays open; it is None for a caller's text stream.
-    """
-    if isinstance(source, (str, Path)):
-        stream = open(source, encoding="utf-8-sig", newline="")
-        return stream, stream.close
-    if isinstance(source, io.TextIOBase):
-        return source, None
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-            return stream, stream.detach
-        return source, None
-    raise IngestError(f"unsupported source {type(source).__name__}")
-
-
-def _detect_format(source, schema: IngestSchema) -> str:
+def _detect_format(source: str | Path, schema: IngestSchema) -> str:
     if schema.format is not None:
         return schema.format
-    if isinstance(source, (str, Path)):
-        suffix = Path(source).suffix.lower()
-        if suffix in (".jsonl", ".ndjson", ".json"):
-            return "jsonl"
-        if suffix in (".csv", ".tsv", ".txt"):
-            return "csv"
+    suffix = Path(source).suffix.lower()
+    if suffix in (".jsonl", ".ndjson", ".json"):
+        return "jsonl"
+    if suffix in (".csv", ".tsv", ".txt"):
+        return "csv"
     raise IngestError("cannot infer file format; set 'format' in the schema")
 
 
@@ -414,13 +392,16 @@ def _jsonl_records(stream, schema: IngestSchema):
                None if outcome is None else str(outcome), rec)
 
 
-def _read(source, schema: IngestSchema, wanted=frozenset()) -> tuple[Arena, dict[int, dict]]:
-    """Read a dataset in one streaming pass: the arena, and ``{n: record}`` for n in ``wanted``.
+def _read(source: str | Path, schema: IngestSchema,
+          wanted=frozenset()) -> tuple[Arena, dict[int, dict]]:
+    """Read a dataset file in one pass: the arena, and ``{n: record}`` for n in ``wanted``.
 
-    Every row is classified here and nowhere else: a malformed row is an error
-    or, under ``on_malformed="skip"``, counted; an unknown outcome label is an
-    error; tie and "both bad" rows are counted. Only the decisive rows in
-    ``wanted`` are kept as records: a CSV row becomes a dict keyed by the header.
+    The file at ``source`` is opened here, closed when the pass ends, and may
+    start with a UTF-8 byte-order mark. Every row is classified here and nowhere
+    else: a malformed row is an error or, under ``on_malformed="skip"``, counted;
+    an unknown outcome label is an error; tie and "both bad" rows are counted.
+    Only the decisive rows in ``wanted`` are kept as records: a CSV row becomes a
+    dict keyed by the header.
     """
     codes = dict.fromkeys(schema.ties, _TIE)
     codes.update(dict.fromkeys(schema.both_bad, _BOTH_BAD))
@@ -435,8 +416,7 @@ def _read(source, schema: IngestSchema, wanted=frozenset()) -> tuple[Arena, dict
     kept: dict[int, dict] = {}
     ties = both_bad = malformed = 0
 
-    stream, release = _open_text(source)
-    try:
+    with open(source, encoding="utf-8-sig", newline="") as stream:
         read = _csv_records if _detect_format(source, schema) == "csv" else _jsonl_records
         records = read(stream, schema)
         header = next(records, None)
@@ -464,9 +444,6 @@ def _read(source, schema: IngestSchema, wanted=frozenset()) -> tuple[Arena, dict
             side_a.append(setdefault(name_a, len(index)))
             side_b.append(setdefault(name_b, len(index)))
             a_won.append(code)
-    finally:
-        if release is not None:
-            release()
 
     if not side_a:
         raise IngestError("no decisive matchups after filtering")
@@ -477,29 +454,25 @@ def _read(source, schema: IngestSchema, wanted=frozenset()) -> tuple[Arena, dict
     return Arena(ModelRegistry(list(index)), side_a, side_b, a_won, stats=stats), kept
 
 
-def ingest(source: str | Path | IO[str] | IO[bytes], schema: IngestSchema | str) -> Arena:
-    """Build an Arena from a delimiter-separated or record-per-line dataset.
+def ingest(source: str | Path, schema: IngestSchema) -> Arena:
+    """Build an Arena from the delimiter-separated or record-per-line dataset file at ``source``.
 
     Only decisive matchups are kept, in source order; tie and "both bad" rows are
     dropped and counted. The model registry follows first appearance unless the
     schema names a reference model, which is pinned to index 0. Identical bytes
-    and schema always produce an identical arena. The source is read in one
-    streaming pass.
+    and schema always produce an identical arena. The file is read in one
+    streaming pass; a preset from ``SCHEMA_PRESETS`` is passed as its schema.
     """
-    if isinstance(schema, str):
-        if schema not in SCHEMA_PRESETS:
-            raise IngestError(f"unknown schema preset {schema!r}")
-        schema = SCHEMA_PRESETS[schema]
     return _read(source, schema)[0]
 
 
-def _records_at(source, schema: IngestSchema, wanted: Iterable[int]):
+def _records_at(source: str | Path, schema: IngestSchema, wanted: Iterable[int]):
     """``({n: (name a, name b, a_won, metadata)}, N)`` for the wanted decisive indices n < N.
 
-    The whole source is read as ``ingest`` reads it, so N and every error are
-    ``ingest``'s. Metadata holds the text of each ``meta_columns`` field a row
-    sets, a JSONL value that is not a string written as JSON; "all" or ()
-    selects every column but the model and outcome columns.
+    The whole file at ``source`` is read as ``ingest`` reads it, so N and every
+    error are ``ingest``'s. Metadata holds the text of each ``meta_columns``
+    field a row sets, a JSONL value that is not a string written as JSON; "all"
+    or () selects every column but the model and outcome columns.
     """
     arena, kept = _read(source, schema, set(wanted))
     names, columns = arena.models.names, schema.meta_columns

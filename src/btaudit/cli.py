@@ -186,6 +186,8 @@ def cmd_check_topk(args) -> int:
     budgets = dict.fromkeys(budgets)
     if not budgets:
         raise ValueError("at least one --alpha or --count budget is required")
+    for budget in budgets:  # refused here, before any report is written
+        budget.resolve(arena.n_matchups)
     bt = fit(arena, options=SolverOptions(ridge=args.ridge, tol=args.tol))
     out = _out_dir(args)
 
@@ -269,6 +271,10 @@ def cmd_inspect(args) -> int:
 def cmd_selftest(args) -> int:
     if args.arenas < 0:
         raise ValueError(f"--arenas must be non-negative, got {args.arenas}")
+    # Arena i draws seed * 100_003 + i, and the derivative spot-check the next one.
+    max_seed = (2**64 - 1 - args.arenas) // 100_003
+    if not 0 <= args.seed <= max_seed:
+        raise ValueError(f"--seed {args.seed} outside [0, {max_seed}] for --arenas {args.arenas}")
     sound = True
     non_robust = misses = 0
     for i in range(args.arenas):

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _MAX_BRUTE_BUDGET = 4
+_MAX_REFITS = 2_000_000
+_FD_STEP = 1e-4
 # Subsets are refit together in chunks: the first holds the full-data fit and every
 # subset of size 1 and 2, each next one every subset of one larger size. A chunk is
 # split only where its dense curvature matrices, 0/1 row weights and their bin
@@ -98,8 +100,9 @@ def random_spec(
     A chain through all models guarantees an identified fit; the remaining
     games pair models uniformly at random, and strengths lie in [-1.5, 1.5].
     Structure comes from a stream decorrelated from the outcome stream of ``generate``.
-    A seed outside [0, 2**64) raises ValueError.
+    A seed that is not an integer in [0, 2**64) raises ValueError.
     """
+    _require_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
     rng = np.random.Generator(np.random.PCG64(int(np.uint64(seed) ^ np.uint64(0xD1B54A32D192ED03))))
@@ -135,20 +138,20 @@ def brute_force_pair(
     b: int | str,
     budget: int,
     options: SolverOptions | None = None,
-    max_refits: int = 2_000_000,
 ) -> BruteForceResult:
     """Exhaustively refit over every subset of at most ``budget`` matchups.
 
     Returns the smallest flipping subset, lexicographically first among the
-    minimal ones, or flip_exists=False. Enumeration beyond the refit cap is
-    refused outright, never silently truncated. Subsets are enumerated by size,
-    and lexicographically within a size, and refit a chunk at a time, as one
-    stacked solve whose rows are bit-identical to single refits. The first chunk
-    opens with the full-data fit, which orders the pair, and holds every subset
-    of size 1 and 2; each later chunk holds one larger size. A chunk's solve ends
-    once every row up to its first flip or non-finite refit has stopped.
-    ``refits_performed`` counts the subsets up to and including the answer (all
-    of them when none flips), not the full-data fit or rows solved past the answer.
+    minimal ones, or flip_exists=False. Enumeration beyond ``_MAX_REFITS``
+    subsets is refused outright, never silently truncated. Subsets are
+    enumerated by size, and lexicographically within a size, and refit a chunk
+    at a time, as one stacked solve whose rows are bit-identical to single
+    refits. The first chunk opens with the full-data fit, which orders the
+    pair, and holds every subset of size 1 and 2; each later chunk holds one
+    larger size. A chunk's solve ends once every row up to its first flip or
+    non-finite refit has stopped. ``refits_performed`` counts the subsets up to
+    and including the answer (all of them when none flips), not the full-data
+    fit or rows solved past the answer.
     """
     _require_integer("budget", budget)
     if budget < 0:
@@ -161,9 +164,9 @@ def brute_force_pair(
     n = arena.n_matchups
     sizes = range(1, min(budget, n - 1) + 1)
     total = sum(comb(n, s) for s in sizes)
-    if total > max_refits:
+    if total > _MAX_REFITS:
         raise EnumerationCapError(
-            f"{total} refits needed for N={n}, budget={budget}; cap is {max_refits}"
+            f"{total} refits needed for N={n}, budget={budget}; cap is {_MAX_REFITS}"
         )
 
     # Cold starts and the flip test match the refit-verification procedure:
@@ -215,15 +218,12 @@ def finite_difference_influence(
     bt: BtFit,
     target: int | str,
     n: int,
-    epsilon: float = 1e-4,
 ) -> float:
     """Central difference of the target's fitted score under a perturbed matchup weight.
 
-    Each side is a full weighted refit at a tightened tolerance with the same
-    ridge as the base fit.
+    Matchup n's weight steps to 1 ± ``_FD_STEP``. Each side is a full weighted
+    refit at a tightened tolerance with the same ridge as the base fit.
     """
-    if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError("epsilon must lie in [1e-6, 1e-3]")
     if not 0 <= n < arena.n_matchups:
         raise IndexError(f"matchup index {n} out of range")
     t = arena.models.resolve(target)
@@ -232,9 +232,9 @@ def finite_difference_influence(
     deltas = []
     for sign in (+1.0, -1.0):
         w = np.ones(arena.n_matchups)
-        w[n] = 1.0 + sign * epsilon
+        w[n] = 1.0 + sign * _FD_STEP
         side = fit(arena, w, tight, warm_start=bt.scores)
         if not side.converged:
             raise FitError(f"perturbed refit (weight {w[n]:g} at index {n}) did not converge")
         deltas.append(float(side.scores[t]))
-    return (deltas[0] - deltas[1]) / (2.0 * epsilon)
+    return (deltas[0] - deltas[1]) / (2.0 * _FD_STEP)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from btaudit import (
+    SCHEMA_PRESETS,
     DropBudget,
     SolverOptions,
     SynthSpec,
@@ -114,7 +115,7 @@ def test_derivative_check():
         target = int(ranking(bt).order[0]) or int(ranking(bt).order[1])
         predicted = influence_scores(bt, target)
         for n in range(arena.n_matchups):
-            fd = finite_difference_influence(arena, bt, target, n, epsilon=1e-4)
+            fd = finite_difference_influence(arena, bt, target, n)
             # Floor at 1e-5: the oracle refits at tol 1e-12, which the central
             # difference's 1/(2 eps) amplifies to ~1e-8 absolute resolution.
             rel = abs(predicted[n] - fd) / max(abs(fd), 1e-5)
@@ -295,7 +296,7 @@ def test_table1_reproduction_when_datasets_present():
         )
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     for row in manifest:
-        arena = ingest(Path(data_dir) / row["file"], row["schema"])
+        arena = ingest(Path(data_dir) / row["file"], SCHEMA_PRESETS[row["schema"]])
         bt = fit(arena, options=RIDGELESS)
         if not bt.converged:
             bt = fit(arena)  # separation without ridge; fall back to the default

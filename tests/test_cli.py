@@ -246,6 +246,19 @@ def test_repeated_k_and_budgets_are_audited_once(workspace, capsys):
         "k=1 alpha=0.3333333", "k=1 alpha=0.3333333333333333"]
 
 
+@pytest.mark.parametrize("budget, message", [
+    (["--alpha", "0.00000001"], "budget resolves to zero drops (alpha=1e-08, N=4)"),
+    (["--count", "4"], "budget 4 would drop all 4 matchups"),
+], ids=["zero-drops", "all-drops"])
+def test_a_budget_it_cannot_use_is_refused_before_any_report(workspace, capsys, budget, message):
+    code = main(["check-topk", workspace["dataset"], "--schema", workspace["schema"], "--k", "1",
+                 "--alpha", "0.5", *budget, "--out", workspace["out"]])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not list((workspace["root"] / "out").glob("topk_*"))
+
+
 def test_csv_writer_writes_sequence_rows_as_csv_writer_does(tmp_path):
     import csv
     import io
@@ -461,14 +474,25 @@ def test_selftest_passes(capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--seed", "-1"], "error: seed -100003 outside [0, 2**64)"),
+    (["--seed", "-1"], "error: --seed -1 outside [0, 184461906879889] for --arenas 25"),
     (["--arenas", "-3"], "error: --arenas must be non-negative, got -3"),
-    (["--seed", "200000000000000"], "error: seed 20000600000000000000 outside [0, 2**64)"),
+    (["--seed", "200000000000000"],
+     "error: --seed 200000000000000 outside [0, 184461906879889] for --arenas 25"),
 ])
 def test_selftest_refuses_seeds_and_arena_counts_it_cannot_use(flags, message, capsys):
     assert main(["selftest", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
+
+
+def test_selftest_seed_bound_is_the_last_derived_seed(capsys):
+    # Arena i draws seed * 100_003 + i and the derivative spot-check seed * 100_003 + arenas.
+    top = (2**64 - 1 - 1) // 100_003
+    assert top * 100_003 + 1 < 2**64 <= (top + 1) * 100_003 + 1
+    assert main(["selftest", "--seed", str(top), "--arenas", "1"]) == 0
+    capsys.readouterr()
+    assert main(["selftest", "--seed", str(top + 1), "--arenas", "1"]) == 1
+    assert capsys.readouterr().err == f"error: --seed {top + 1} outside [0, {top}] for --arenas 1\n"
 
 
 def test_console_script_runs():

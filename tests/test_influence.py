@@ -185,8 +185,6 @@ def test_finite_difference_consistency_small_arenas():
 
 
 def test_finite_difference_epsilon_validation(fit_2_2, arena_2_2):
-    with pytest.raises(ValueError, match="epsilon"):
-        finite_difference_influence(arena_2_2, fit_2_2, 1, 0, epsilon=1e-2)
     with pytest.raises(IndexError):
         finite_difference_influence(arena_2_2, fit_2_2, 1, 99)
 

@@ -9,7 +9,9 @@ metadata must be what ``inspect`` reads for each decisive row.
 import csv
 import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,9 +31,9 @@ SCHEMA = IngestSchema(
 
 
 def _open_reference(source):
-    if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    """The file's text, read whole, so the reference loop leaves no file open."""
+    with open(source, encoding="utf-8-sig", newline="") as fh:
+        return io.StringIO(fh.read(), newline="")
 
 
 def _reference_rows(stream, fmt, schema):
@@ -152,8 +154,12 @@ def reference_ingest(source, schema):
     return arena, tuple(metas) if keep_meta else None
 
 
-def _source(text, as_bytes):
-    return io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text, newline="")
+def _source(directory, text):
+    """Write ``text`` unchanged to a file in ``directory`` and return its path."""
+    path = Path(directory) / "games"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 def _attempt(call, *args):
@@ -169,21 +175,22 @@ def _summary(arena, rows):
     return arena.models.names, arrays, arena.stats, rows
 
 
-def _reference_result(text, as_bytes, schema):
+def _reference_result(source, schema):
     # inspect reads every column for (), as the reference keeps them for "all"
-    arena, metas = reference_ingest(_source(text, as_bytes),
+    arena, metas = reference_ingest(source,
                                     replace(schema, meta_columns=schema.meta_columns or "all"))
     names = arena.models.names
     sides = zip(arena.side_a.tolist(), arena.side_b.tolist(), arena.a_won.tolist(), metas)
     return _summary(arena, [(names[a], names[b], won, meta) for a, b, won, meta in sides])
 
 
-def _result(text, as_bytes, schema):
-    arena = ingest(_source(text, as_bytes), schema)
-    # every decisive index, since a source holds fewer rows than characters
-    records, n_matchups = _records_at(_source(text, as_bytes), schema, range(len(text)))
+def _result(source, schema):
+    arena = ingest(source, schema)
+    # every decisive index, since a file holds fewer rows than bytes
+    size = source.stat().st_size
+    records, n_matchups = _records_at(source, schema, range(size))
     assert n_matchups == arena.n_matchups and sorted(records) == list(range(n_matchups))
-    odd, _ = _records_at(_source(text, as_bytes), schema, range(1, len(text), 2))
+    odd, _ = _records_at(source, schema, range(1, size, 2))
     assert odd == {n: records[n] for n in range(1, n_matchups, 2)}
     return _summary(arena, [records[n] for n in range(n_matchups)])
 
@@ -283,13 +290,16 @@ def jsonl_inputs(draw):
     return text, replace(draw(schemas), format="jsonl")
 
 
-def _check(text, schema, as_bytes, bom):
+def _check(text, schema, bom):
     if bom:
         text = "\ufeff" + text
-    expected = _attempt(_reference_result, text, as_bytes, schema)
-    assert _attempt(_result, text, as_bytes, schema) == expected
-    if isinstance(expected[0], type):  # inspect rejects what ingest rejects, in the same words
-        assert _attempt(_records_at, _source(text, as_bytes), schema, ()) == expected
+    # A directory per example: hypothesis refuses function-scoped fixtures under @given.
+    with tempfile.TemporaryDirectory() as directory:
+        source = _source(directory, text)
+        expected = _attempt(_reference_result, source, schema)
+        assert _attempt(_result, source, schema) == expected
+        if isinstance(expected[0], type):  # inspect rejects what ingest rejects, in the same words
+            assert _attempt(_records_at, source, schema, ()) == expected
 
 
 REFERENCE_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
@@ -297,12 +307,12 @@ REFERENCE_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
 
 
 @REFERENCE_SETTINGS
-@given(case=csv_inputs(), as_bytes=st.booleans(), bom=st.booleans())
-def test_csv_ingest_matches_dictreader_reference(case, as_bytes, bom):
-    _check(*case, as_bytes, bom)
+@given(case=csv_inputs(), bom=st.booleans())
+def test_csv_ingest_matches_dictreader_reference(case, bom):
+    _check(*case, bom)
 
 
 @REFERENCE_SETTINGS
-@given(case=jsonl_inputs(), as_bytes=st.booleans(), bom=st.booleans())
-def test_jsonl_ingest_matches_json_loads_reference(case, as_bytes, bom):
-    _check(*case, as_bytes, bom)
+@given(case=jsonl_inputs(), bom=st.booleans())
+def test_jsonl_ingest_matches_json_loads_reference(case, bom):
+    _check(*case, bom)

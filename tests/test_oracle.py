@@ -128,6 +128,14 @@ def test_random_spec_refuses_seeds_outside_64_bits():
     assert generate(spec).n_matchups == 6
 
 
+def test_random_spec_refuses_a_seed_that_is_not_an_integer():
+    for seed in (1.5, True, "3"):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            random_spec(seed)
+    assert random_spec(np.int64(3)) == random_spec(3)
+    assert random_spec(np.uint64(3)).seed == 3
+
+
 def test_brute_force_finds_minimal_three_win_subset(arena_3_1):
     result = brute_force_pair(arena_3_1, 0, 1, 3)
     assert result.flip_exists
@@ -158,10 +166,13 @@ def test_brute_force_orientation_is_canonical(arena_3_1):
     assert fwd.minimal_subset == rev.minimal_subset
 
 
-def test_enumeration_cap_refuses_not_truncates():
+def test_enumeration_cap_refuses_not_truncates(monkeypatch):
+    import btaudit.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "_MAX_REFITS", 100)
     arena = generate(random_spec(9, n_models=3, target_matchups=30))
-    with pytest.raises(EnumerationCapError, match="cap"):
-        brute_force_pair(arena, 0, 1, 3, max_refits=100)
+    with pytest.raises(EnumerationCapError, match="cap is 100$"):
+        brute_force_pair(arena, 0, 1, 3)
     with pytest.raises(ValueError, match="limit"):
         brute_force_pair(arena, 0, 1, 5)
 
