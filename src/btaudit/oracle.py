@@ -100,11 +100,17 @@ def random_spec(
     A chain through all models guarantees an identified fit; the remaining
     games pair models uniformly at random, and strengths lie in [-1.5, 1.5].
     Structure comes from a stream decorrelated from the outcome stream of ``generate``.
-    A seed that is not an integer in [0, 2**64) raises ValueError.
+    A seed that is not an integer in [0, 2**64), an ``n_models`` or
+    ``target_matchups`` that is not an integer, and fewer than 2 models raise ValueError.
     """
     _require_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
+    _require_integer("target_matchups", target_matchups)
+    if n_models is not None:
+        _require_integer("n_models", n_models)
+        if n_models < 2:
+            raise ValueError(f"n_models must be at least 2, got {n_models}")
     rng = np.random.Generator(np.random.PCG64(int(np.uint64(seed) ^ np.uint64(0xD1B54A32D192ED03))))
     m = int(n_models) if n_models is not None else int(rng.integers(2, 6))
     if target_matchups < m - 1:
@@ -123,8 +129,9 @@ def random_spec(
 class BruteForceResult:
     """The exhaustive search's answer.
 
-    ``refits_performed`` counts the subsets refit, in enumeration order, up to
-    and including the answer, or all of them when none flips.
+    ``refits_performed`` counts the subsets examined, in enumeration order, up
+    to and including the answer, or all of them when none flips. It counts
+    subsets, not solves: subsets that share a class multiset share one solve.
     """
 
     flip_exists: bool
@@ -148,10 +155,15 @@ def brute_force_pair(
     at a time, as one stacked solve whose rows are bit-identical to single
     refits. The first chunk opens with the full-data fit, which orders the
     pair, and holds every subset of size 1 and 2; each later chunk holds one
-    larger size. A chunk's solve ends once every row up to its first flip or
-    non-finite refit has stopped. ``refits_performed`` counts the subsets up to
-    and including the answer (all of them when none flips), not the full-data
-    fit or rows solved past the answer.
+    larger size. A chunk stacks one row per distinct multiset of dropped
+    (cell, winner) classes, for the first subset with it: subsets with equal
+    multisets have equal class weights, so their refits are the same bits, and
+    the first flipping or non-finite subset is the first of its multiset. A
+    chunk's solve ends once every row up to its first flip or non-finite refit
+    has stopped. ``refits_performed`` counts subsets, not solves: every subset
+    up to and including the answer (all of them when none flips), those that
+    share a row included, and neither the full-data fit nor rows solved past
+    the answer.
     """
     _require_integer("budget", budget)
     if budget < 0:
@@ -190,12 +202,16 @@ def brute_force_pair(
     performed = -1  # the full-data fit is no subset's refit
     for chunk in chunks:
         while block := list(itertools.islice(chunk, cap)):
-            rows = len(block)
-            lengths = np.fromiter(map(len, block), dtype=np.intp, count=rows)
+            lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
             dropped = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp,
                                   count=int(lengths.sum()))
+            # One stack row per distinct class multiset, for its first subset: later ones
+            # would refit to the same bits, and come after it in the answer's order.
+            first = _first_of_each_multiset(cells.row_class[dropped], lengths)
+            kept = np.flatnonzero(first)
+            rows = len(kept)
             w = np.ones((rows, n))
-            w[np.repeat(np.arange(rows), lengths), dropped] = 0.0
+            w[np.repeat(np.arange(rows), lengths[kept]), dropped[np.repeat(first, lengths)]] = 0.0
             scores, reasons, _, _ = _minimize_stack(cells, _stacked_class_weights(cells, w), m, options,
                                                     lambda theta: flips(theta).any())
             # Rows stopped with reason None from the first that met non-finite values or
@@ -203,14 +219,38 @@ def brute_force_pair(
             solved = reasons.index(None) if None in reasons else rows
             hits = np.flatnonzero(flips(scores[:solved])) if solved else ()
             if len(hits):
-                return BruteForceResult(True, block[hits[0]], performed + int(hits[0]) + 1)
+                return BruteForceResult(True, block[kept[hits[0]]], performed + int(kept[hits[0]]) + 1)
             if solved < rows:
-                if not block[solved]:
+                subset = block[kept[solved]]
+                if not subset:
                     raise FitError("non-finite values encountered during fitting"
                                    " (possible separation with ridge = 0)")
-                raise FitError(f"the refit without matchups {block[solved]} met non-finite values")
-            performed += rows
+                raise FitError(f"the refit without matchups {subset} met non-finite values")
+            performed += len(block)
     return BruteForceResult(False, None, performed)
+
+
+def _first_of_each_multiset(classes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Whether each subset is the first, in enumeration order, with its multiset of classes.
+
+    ``lengths`` holds each subset's size and ``classes`` the classes of their
+    matchups, subset after subset. A subset's key is its size, which keeps the
+    empty subset's key non-empty, then its classes sorted and padded with -1; a
+    stable sort keeps equal keys in enumeration order.
+    """
+    rows, width = len(lengths), int(lengths.max())
+    keys = np.full((rows, 1 + width), -1, dtype=np.intp)
+    keys[:, 0] = lengths
+    column = 1 + np.arange(len(classes)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    keys[np.repeat(np.arange(rows), lengths), column] = classes
+    keys[:, 1:].sort(axis=1)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    leads = np.ones(rows, dtype=bool)
+    leads[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.zeros(rows, dtype=bool)
+    first[order[leads]] = True
+    return first
 
 
 def finite_difference_influence(
@@ -222,8 +262,10 @@ def finite_difference_influence(
     """Central difference of the target's fitted score under a perturbed matchup weight.
 
     Matchup n's weight steps to 1 ± ``_FD_STEP``. Each side is a full weighted
-    refit at a tightened tolerance with the same ridge as the base fit.
+    refit at a tightened tolerance with the same ridge as the base fit. An ``n``
+    that is not an integer raises ValueError; one out of range, IndexError.
     """
+    _require_integer("n", n)
     if not 0 <= n < arena.n_matchups:
         raise IndexError(f"matchup index {n} out of range")
     t = arena.models.resolve(target)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -136,6 +137,20 @@ def test_random_spec_refuses_a_seed_that_is_not_an_integer():
     assert random_spec(np.uint64(3)).seed == 3
 
 
+def test_random_spec_refuses_model_and_matchup_counts_that_are_not_usable_integers():
+    # One model (or True) left the filler loop drawing the same model forever;
+    # floats were truncated or counted up to.
+    for n_models, message in ((1, "must be at least 2, got 1"), (0, "must be at least 2, got 0"),
+                              (True, "must be an integer, got True"), (2.7, "must be an integer, got 2.7")):
+        with pytest.raises(ValueError, match=f"^n_models {message}$"):
+            random_spec(3, n_models=n_models)
+    for target in (6.5, True, "6"):
+        with pytest.raises(ValueError, match=f"^target_matchups must be an integer, got {target!r}$"):
+            random_spec(3, n_models=3, target_matchups=target)
+    assert random_spec(3, n_models=np.int64(3), target_matchups=np.int64(6)) == random_spec(
+        3, n_models=3, target_matchups=6)
+
+
 def test_brute_force_finds_minimal_three_win_subset(arena_3_1):
     result = brute_force_pair(arena_3_1, 0, 1, 3)
     assert result.flip_exists
@@ -189,6 +204,16 @@ def test_finite_difference_on_symmetric_arena(arena_2_2):
 def test_finite_difference_reference_is_zero(arena_2_2):
     bt = fit(arena_2_2, options=RIDGELESS)
     assert abs(finite_difference_influence(arena_2_2, bt, 0, 0)) < 1e-10
+
+
+def test_finite_difference_refuses_an_index_that_is_not_an_integer(arena_2_2):
+    # numpy reads w[True] as a mask over every weight, and a float index raised its bare IndexError.
+    bt = fit(arena_2_2, options=RIDGELESS)
+    for n in (True, 1.5):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            finite_difference_influence(arena_2_2, bt, 1, n)
+    assert finite_difference_influence(arena_2_2, bt, 1, np.int64(1)) == finite_difference_influence(
+        arena_2_2, bt, 1, 1)
 
 
 def test_oracle_uses_matching_solver_options(arena_3_1):
@@ -247,9 +272,25 @@ def test_chunks_that_span_subset_sizes_match_one_refit_per_subset():
         assert brute_force_pair(arena, first, second, 3) == want
 
 
+def _class_tuple(arena, subset):
+    """The sorted (cell, winner) classes of a subset's matchups: its class multiset."""
+    return tuple(sorted(arena.cells.row_class[list(subset)].tolist()))
+
+
+def _stacked_multisets(arena, budget):
+    """Each enumerated subset's class multiset, and the distinct multisets in the order
+    of their first subsets: the oracle's stack rows after the full-data fit, when no
+    chunk is split. Subsets of different sizes never share a multiset."""
+    n = arena.n_matchups
+    sizes = range(1, min(budget, n - 1) + 1)
+    keys = [_class_tuple(arena, subset)
+            for subset in itertools.chain.from_iterable(itertools.combinations(range(n), s) for s in sizes)]
+    return keys, list(dict.fromkeys(keys))
+
+
 def _fail_refit_at(monkeypatch, position):
-    """Make the stacked refit of the subset at enumeration ``position`` stop on
-    non-finite values, with infinite scores."""
+    """Make the stacked row at ``position``, counted over every solve after the
+    full-data fit, stop on non-finite values, with infinite scores."""
     import btaudit.oracle as oracle_mod
 
     real, seen = oracle_mod._minimize_stack, [-1]  # the first row solved is the full-data fit
@@ -267,15 +308,20 @@ def _fail_refit_at(monkeypatch, position):
 
 def test_a_failed_refit_stops_the_search_only_at_or_before_the_answer(monkeypatch):
     # Tier-1 turns warnings into errors, so the failed row's infinite scores
-    # must stay out of the chunk's flip test.
+    # must stay out of the chunk's flip test. A subset is refit in its class
+    # multiset's row, which the multiset's first subset decides.
     for seed, n in ((802, 10), (813, 10), (803, 12), (800, 10)):
         arena, first, second = _top_pair(seed, n)
         want = reference_brute_force_pair(arena, first, second, 3)
         answer = want.refits_performed - 1  # the last subset when none flips
+        keys, rows = _stacked_multisets(arena, 3)
         for position in sorted({0, answer - 1, answer, answer + 1, answer + 20} - {-1}):
+            # A position past the last subset names the row past the last one solved.
+            row, earliest = ((rows.index(keys[position]), keys.index(keys[position]))
+                             if position < len(keys) else (len(rows), position))
             with monkeypatch.context() as patch:
-                _fail_refit_at(patch, position)
-                if position <= answer:
+                _fail_refit_at(patch, row)
+                if earliest <= answer:
                     with pytest.raises(FitError, match="non-finite"):
                         brute_force_pair(arena, first, second, 3)
                 else:
@@ -311,7 +357,8 @@ def test_a_chunk_stops_once_every_row_up_to_its_answer_has_stopped(monkeypatch, 
     solves = _record_solves(monkeypatch)
     assert brute_force_pair(arena, first, second, 3) == want
     [(_, reasons, iterations)] = solves
-    answer = want.refits_performed  # row 0 is the full-data fit
+    keys, rows = _stacked_multisets(arena, 3)
+    answer = 1 + rows.index(keys[want.refits_performed - 1])  # row 0 is the full-data fit
     slow = np.flatnonzero(iterations >= 12)
     assert iterations[answer] <= 5 and slow.size
     assert None not in reasons[:answer + 1]
@@ -322,8 +369,8 @@ def test_a_chunk_stops_once_every_row_up_to_its_answer_has_stopped(monkeypatch, 
 
 
 def _poison_row_at(monkeypatch, position):
-    """Give the subset at enumeration ``position`` (-1 for the full-data fit) NaN class
-    weights, so its stacked refit meets non-finite values at its first iterate."""
+    """Give the stacked row at ``position``, counted over every solve (-1 for the
+    full-data fit), NaN class weights, so it meets non-finite values at its first iterate."""
     import btaudit.oracle as oracle_mod
 
     real, seen = oracle_mod._stacked_class_weights, [-1]
@@ -345,10 +392,12 @@ def test_a_non_finite_refit_in_the_answers_chunk_raises_only_before_the_answer(m
     want = reference_brute_force_pair(arena, first, second, 3)
     answer = want.refits_performed - 1
     last = arena.n_matchups + arena.n_matchups * (arena.n_matchups - 1) // 2 - 1  # the first chunk's
+    keys, rows = _stacked_multisets(arena, 3)
     for position in (0, answer - 1, answer, answer + 1, answer + 2, last):
+        # The subset's refit is its class multiset's row, which the multiset's first subset decides.
         with monkeypatch.context() as patch:
-            _poison_row_at(patch, position)
-            if position <= answer:
+            _poison_row_at(patch, rows.index(keys[position]))
+            if keys.index(keys[position]) <= answer:
                 with pytest.raises(FitError, match="refit without matchups .* non-finite"):
                     brute_force_pair(arena, first, second, 3)
             else:
@@ -383,8 +432,46 @@ def test_searches_at_budgets_1_and_4_match_one_refit_per_subset(monkeypatch, bud
         assert len(want.minimal_subset or ()) == size
         assert brute_force_pair(arena, first, second, budget) == want
         if not size:  # every chunk runs: the full-data fit with sizes 1 and 2, then one a size
-            chunks = [1 + n + (comb(n, 2) if budget > 1 else 0)] + [comb(n, s) for s in range(3, budget + 1)]
+            # A chunk stacks one row per distinct class multiset of its subsets.
+            distinct = {s: len(Counter(_class_tuple(arena, subset)
+                                       for subset in itertools.combinations(range(n), s)))
+                        for s in range(1, budget + 1)}
+            chunks = ([1 + distinct[1] + (distinct[2] if budget > 1 else 0)]
+                      + [distinct[s] for s in range(3, budget + 1)])
             assert [len(reasons) for _, reasons, _ in solves] == chunks
+
+
+# Two- and three-player arenas whose matchups fall in few (cell, winner) classes,
+# each class's rows scattered across seat orders and positions.
+_REPEATED_CLASSES = {
+    "one-matchup": (2, [(0, 1, 1)]),
+    "two-matchups": (2, [(0, 1, 1), (1, 0, 0)]),
+    "two-players": (2, [(0, 1, 1), (1, 0, 1), (0, 1, 1), (0, 1, 0),
+                        (1, 0, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0)]),
+    "three-players": (3, [(0, 1, 1), (0, 2, 1), (1, 0, 0), (2, 0, 0), (1, 2, 1), (0, 1, 0),
+                          (2, 1, 0), (0, 2, 1), (0, 1, 1), (1, 2, 0), (0, 2, 0), (0, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPEATED_CLASSES))
+def test_subsets_that_drop_the_same_classes_share_one_stacked_row(monkeypatch, name):
+    n_models, records = _REPEATED_CLASSES[name]
+    arena = Arena.from_records([f"m{k}" for k in range(n_models)], records)
+    n = arena.n_matchups
+    first, second = ranking(fit(arena)).order[:2]
+    solves = _record_solves(monkeypatch)
+    for budget in (1, 2, 3, 4):
+        solves.clear()
+        want = reference_brute_force_pair(arena, first, second, budget)
+        assert brute_force_pair(arena, first, second, budget) == want
+        # The full-data fit with sizes 1 and 2, then one chunk a size, each one row per
+        # distinct class multiset, up to the chunk that holds the answer.
+        sizes = range(1, min(budget, n - 1) + 1)
+        distinct = {s: len(Counter(_class_tuple(arena, subset)
+                                   for subset in itertools.combinations(range(n), s))) for s in sizes}
+        chunks = [1 + sum(distinct[s] for s in sizes if s <= 2)] + [distinct[s] for s in sizes if s > 2]
+        solved = max(1, len(want.minimal_subset) - 1) if want.flip_exists else len(chunks)
+        assert [len(reasons) for _, reasons, _ in solves] == chunks[:solved]
 
 
 def test_one_row_chunks_solve_the_full_data_fit_alone_first(monkeypatch):
