@@ -249,6 +249,9 @@ class IngestSchema:
     on_malformed: str = "error"
 
     def __post_init__(self):
+        for name in ("a_wins", "b_wins", "ties", "both_bad"):
+            if isinstance(getattr(self, name), str):  # would be read as a list of its letters
+                raise IngestError(f"{name} must be a list of labels, not one string")
         if not self.a_wins or not self.b_wins:
             raise IngestError("schema needs at least one label for each decisive outcome")
         if self.on_malformed not in ("error", "skip"):

@@ -128,13 +128,6 @@ def _row_bins(idx, rows: int, length: int) -> np.ndarray:
     return (np.arange(rows)[:, None] * length + idx).ravel()
 
 
-def _stacked_class_weights(cells: PairCells, w: np.ndarray) -> np.ndarray:
-    """``cells.class_weights`` of each row of a stack of per-matchup weightings, in one call."""
-    rows, length = w.shape[0], 2 * cells.n_cells
-    return np.bincount(_row_bins(cells.row_class, rows, length), w.ravel(),
-                       rows * length).reshape(rows, length)
-
-
 # The core's index objects for one weighting or a stack of ``shape[0]``, built once
 # per solve (a stack's ``_head`` once per iterate): indexing with a prepared object
 # costs a fraction of indexing with one derived from shapes. ``lo`` and ``hi`` give

@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .arena import Arena
-from .btmodel import BtFit, FitError, SolverOptions, _minimize_stack, _stacked_class_weights, fit, sigmoid
+from .btmodel import BtFit, FitError, SolverOptions, _minimize_stack, fit, sigmoid
 from .robustness import _leader_first, _require_integer, _reversed
 
 __all__ = [
@@ -32,8 +32,8 @@ _MAX_REFITS = 2_000_000
 _FD_STEP = 1e-4
 # Subsets are refit together in chunks: the first holds the full-data fit and every
 # subset of size 1 and 2, each next one every subset of one larger size. A chunk is
-# split only where its dense curvature matrices, 0/1 row weights and their bin
-# numbers (8 * (M² + 2N) bytes a row) would pass this many bytes.
+# split only where its stacked rows' dense curvature matrices and cell bin numbers
+# (8 * (M² + 2 * cells) bytes a row) would pass this many bytes.
 _STACK_BYTES = 1 << 20
 
 
@@ -156,9 +156,10 @@ def brute_force_pair(
     refits. The first chunk opens with the full-data fit, which orders the
     pair, and holds every subset of size 1 and 2; each later chunk holds one
     larger size. A chunk stacks one row per distinct multiset of dropped
-    (cell, winner) classes, for the first subset with it: subsets with equal
-    multisets have equal class weights, so their refits are the same bits, and
-    the first flipping or non-finite subset is the first of its multiset. A
+    (cell, winner) classes, for the first subset with it, weighted by the cells'
+    class counts less that multiset: subsets with equal multisets have equal
+    class weights, so their refits are the same bits, and the first flipping or
+    non-finite subset is the first of its multiset. A
     chunk's solve ends once every row up to its first flip or non-finite refit
     has stopped. ``refits_performed`` counts subsets, not solves: every subset
     up to and including the answer (all of them when none flips), those that
@@ -183,11 +184,13 @@ def brute_force_pair(
 
     # Cold starts and the flip test match the refit-verification procedure:
     # exactly symmetric reduced datasets land on score ties, and a tie is not a flip.
-    # Class weights come from each subset's 0/1 row weights, not from refit_without's
-    # subtraction, so the oracle stays an independent check of it. The empty subset's
-    # are the cells' class counts, so its row is the full-data fit bit for bit.
+    # A row's class weights are the cells' class counts less its own count of each
+    # dropped class, all exact integers, built here rather than by refit_without so the
+    # oracle stays an independent check of it. The empty subset drops nothing, so its
+    # row is the full-data fit bit for bit.
     cells, m = arena.cells, arena.n_models
-    cap = max(1, _STACK_BYTES // (8 * (m * m + 2 * n)))
+    length = 2 * cells.n_cells
+    cap = max(1, _STACK_BYTES // (8 * (m * m + length)))
     subsets = [itertools.combinations(range(n), s) for s in sizes]
     chunks = [itertools.chain([()], *subsets[:2]), *subsets[2:]]
     pair = None  # (leader, challenger), once the full-data fit has ordered them
@@ -207,13 +210,14 @@ def brute_force_pair(
                                   count=int(lengths.sum()))
             # One stack row per distinct class multiset, for its first subset: later ones
             # would refit to the same bits, and come after it in the answer's order.
-            first = _first_of_each_multiset(cells.row_class[dropped], lengths)
+            classes = cells.row_class[dropped]
+            first = _first_of_each_multiset(classes, lengths)
             kept = np.flatnonzero(first)
             rows = len(kept)
-            w = np.ones((rows, n))
-            w[np.repeat(np.arange(rows), lengths[kept]), dropped[np.repeat(first, lengths)]] = 0.0
-            scores, reasons, _, _ = _minimize_stack(cells, _stacked_class_weights(cells, w), m, options,
-                                                    lambda theta: flips(theta).any())
+            bins = np.repeat(np.arange(rows) * length, lengths[kept]) + classes[np.repeat(first, lengths)]
+            taken = np.bincount(bins, minlength=rows * length).reshape(rows, length)
+            cws = (cells.class_counts - taken).astype(np.float64)
+            scores, reasons, _, _ = _minimize_stack(cells, cws, m, options, lambda theta: flips(theta).any())
             # Rows stopped with reason None from the first that met non-finite values or
             # was abandoned; the stop test leaves the answer before either.
             solved = reasons.index(None) if None in reasons else rows

@@ -66,8 +66,12 @@ def _alpha_count(alpha: float, n_matchups: int) -> int:
 
 
 def _require_integer(name: str, value) -> None:
-    """Refuse a ``value`` of the integer parameter ``name`` that is not one; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """Refuse a ``value`` of the integer parameter ``name`` that is not one; a bool is not.
+
+    A plain ``int`` passes on one type test, far cheaper than the ABC check, since
+    ``select_drop_set`` runs this on every check that misses the report store.
+    """
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -248,8 +252,12 @@ def select_drop_set(scores: np.ndarray, cells: PairCells, count: int) -> np.ndar
     above the count-th largest helping class score, and only those are ranked
     and opened. That is O(cells) in numpy plus a plain-Python sort of the kept
     classes (``count`` plus ties at the cut, or fewer) and at most ``count``
-    rows per kept class, never O(N).
+    rows per kept class, never O(N). A ``count`` that is not an integer of at
+    least 1 raises ValueError.
     """
+    _require_integer("count", count)
+    if count < 1:
+        raise ValueError("count must be at least 1")
     # Dropping matchup n alone is predicted to change the gap by -scores[n], so
     # the drop set is the ``count`` largest positive scores, ordered by (-score, index).
     rows, start, size = cells.class_index

@@ -223,6 +223,14 @@ def test_schema_from_file_and_label_overlap(tmp_path):
     path.write_text(json.dumps({**json.loads(path.read_text()), "meta_columns": "prompt"}))
     with pytest.raises(IngestError, match='meta_columns must be "all" or a list'):
         IngestSchema.from_file(path)
+    # So would a lone outcome label, in a file or given directly.
+    fields = {"model_a": "a", "model_b": "b", "outcome": "w", "a_wins": ("A",), "b_wins": ("B",)}
+    for name, label in (("a_wins", "ab"), ("b_wins", "B"), ("ties", "tie"), ("both_bad", "bad")):
+        path.write_text(json.dumps({**fields, name: label}))
+        with pytest.raises(IngestError, match=f"^{name} must be a list of labels"):
+            IngestSchema.from_file(path)
+        with pytest.raises(IngestError, match=f"^{name} must be a list of labels"):
+            IngestSchema(**{**fields, name: label})
 
 
 def test_arena_rejects_self_matches_and_bad_outcomes():

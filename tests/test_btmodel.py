@@ -533,17 +533,6 @@ def test_stacked_core_matches_each_rows_own_call_bit_for_bit(ridge):
                     assert g[i].tobytes() == w.tobytes()
 
 
-def test_stacked_class_weights_match_each_rows_class_weights():
-    from btaudit import btmodel as bm
-
-    arena = generate(random_spec(4, target_matchups=15))
-    w = np.random.default_rng(4).uniform(0.0, 2.0, (6, arena.n_matchups))
-    w[2, :5] = 0.0
-    got = bm._stacked_class_weights(arena.cells, w)
-    for i in range(6):
-        assert got[i].tobytes() == arena.cells.class_weights(w[i]).tobytes()
-
-
 def test_stacked_solve_evaluates_each_objective_as_the_rows_own_solve(monkeypatch):
     # Every objective value the stacked loop computes, line-search candidates
     # included, carries the bits of a one-row call on that row. Gathered

@@ -137,6 +137,18 @@ def test_inspect_lists_dropped_matchups_in_order(workspace, capsys):
     assert "write a poem" in out
 
 
+def test_inspect_of_a_report_that_drops_nothing_says_so(workspace, capsys):
+    # A robust top-k report has no dropped_indices line, so the dataset is not read.
+    assert main(["check-topk", workspace["dataset"], "--schema", workspace["schema"],
+                 "--count", "1", "--k", "1", "--out", workspace["out"]]) == 0
+    report = workspace["root"] / "out" / "topk_k1_count1.txt"
+    assert "dropped_indices" not in parse_report(report.read_text())
+    capsys.readouterr()
+    code = main(["inspect", str(report), workspace["dataset"], "--schema", workspace["schema"]])
+    assert code == 0
+    assert capsys.readouterr().out == "report lists no dropped matchups\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_inspect_prints_only_the_schema_columns(capsys, tmp_path, fmt):
     rows = [line.split(",") + [f"j{n}" if n else "judge"]

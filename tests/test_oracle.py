@@ -21,7 +21,7 @@ from btaudit import (
 from btaudit.btmodel import _minimize
 from btaudit.oracle import _MAX_BRUTE_BUDGET, BruteForceResult
 from btaudit.robustness import _canonical_pair, reverses
-from conftest import RIDGELESS, two_player_arena
+from conftest import RIDGELESS, bench_inputs, two_player_arena
 
 
 # ---- reference: the exhaustive search as one refit per subset, kept verbatim ----
@@ -373,17 +373,17 @@ def _poison_row_at(monkeypatch, position):
     full-data fit), NaN class weights, so it meets non-finite values at its first iterate."""
     import btaudit.oracle as oracle_mod
 
-    real, seen = oracle_mod._stacked_class_weights, [-1]
+    real, seen = oracle_mod._minimize_stack, [-1]
 
-    def weights(cells, w):
-        cws = real(cells, w)
+    def stack(cells, cws, n_models, options, settled=None):
         row = position - seen[0]
         seen[0] += len(cws)
         if 0 <= row < len(cws):
+            cws = cws.copy()
             cws[row] = np.nan
-        return cws
+        return real(cells, cws, n_models, options, settled)
 
-    monkeypatch.setattr(oracle_mod, "_stacked_class_weights", weights)
+    monkeypatch.setattr(oracle_mod, "_minimize_stack", stack)
 
 
 def test_a_non_finite_refit_in_the_answers_chunk_raises_only_before_the_answer(monkeypatch):
@@ -472,6 +472,52 @@ def test_subsets_that_drop_the_same_classes_share_one_stacked_row(monkeypatch, n
         chunks = [1 + sum(distinct[s] for s in sizes if s <= 2)] + [distinct[s] for s in sizes if s > 2]
         solved = max(1, len(want.minimal_subset) - 1) if want.flip_exists else len(chunks)
         assert [len(reasons) for _, reasons, _ in solves] == chunks[:solved]
+
+
+def _big_top_pair(seed, n_models, n_matchups):
+    side_a, side_b, a_won = bench_inputs().big_arena(seed, n_models, n_matchups)
+    arena = Arena.from_records([f"m{k}" for k in range(n_models)], zip(side_a, side_b, a_won))
+    first, second = ranking(fit(arena)).order[:2]
+    return arena, first, second
+
+
+def test_a_chunks_byte_cap_does_not_shrink_with_the_matchup_count(monkeypatch):
+    # A stacked row holds its curvature matrix and cell bins, whatever N is, so
+    # 2,000 single drops over 6 cells fit in the first chunk, and one solve.
+    arena, first, second = _big_top_pair(7, 4, 2_000)
+    solves = _record_solves(monkeypatch)
+    want = reference_brute_force_pair(arena, first, second, 1)
+    assert brute_force_pair(arena, first, second, 1) == want
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("case", [("spec", 800, 10, 3), ("spec", 806, 10, 3), ("big", 7, 60, 2)],
+                         ids=["no-flip", "flip-of-three", "60-matchups-at-budget-2"])
+def test_each_stacked_rows_class_weights_are_its_first_subsets_bit_for_bit(monkeypatch, case):
+    # Row by row, the class counts less the dropped multiset equal the class sums
+    # of the 0/1 weighting that drops the multiset's first subset.
+    import btaudit.oracle as oracle_mod
+
+    kind, seed, n, budget = case
+    arena, first, second = _top_pair(seed, n) if kind == "spec" else _big_top_pair(seed, 3, n)
+    real, stacked = oracle_mod._minimize_stack, []
+
+    def stack(cells, cws, n_models, options, settled=None):
+        stacked.extend(cws.copy())
+        return real(cells, cws, n_models, options, settled)
+
+    monkeypatch.setattr(oracle_mod, "_minimize_stack", stack)
+    found = brute_force_pair(arena, first, second, budget)
+    firsts = {}
+    for size in range(1, budget + 1):
+        for subset in itertools.combinations(range(arena.n_matchups), size):
+            firsts.setdefault(_class_tuple(arena, subset), subset)
+    rows = [(), *firsts.values()]
+    assert len(stacked) <= len(rows) and (found.flip_exists or len(stacked) == len(rows))
+    for cws, subset in zip(stacked, rows):
+        w = np.ones(arena.n_matchups)
+        w[list(subset)] = 0.0
+        assert cws.tobytes() == arena.cells.class_weights(w).tobytes()
 
 
 def test_one_row_chunks_solve_the_full_data_fit_alone_first(monkeypatch):

@@ -99,6 +99,20 @@ def test_select_drop_set_empty_when_nothing_helps():
     assert select_drop_set(pi, arena.cells, 2).size == 0
 
 
+def test_select_drop_set_refuses_a_count_that_is_not_a_positive_integer():
+    # numpy's partition would raise its own error for 0 and -1, read True as 1,
+    # and refuse 1.5 with a TypeError.
+    arena = Arena.from_records(["a", "b", "c"], [(0, 1, 1), (1, 2, 1), (0, 2, 0)])
+    pi = _classwise(arena, [1.0, 2.0, 0.5])
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="^count must be at least 1$"):
+            select_drop_set(pi, arena.cells, count)
+    for count in (True, 1.5, "1", None):
+        with pytest.raises(ValueError, match="^count must be an integer"):
+            select_drop_set(pi, arena.cells, count)
+    assert list(select_drop_set(pi, arena.cells, np.int64(1))) == [1]
+
+
 def test_select_drop_set_orders_most_helpful_first():
     # Four matchups in four classes; the two empty classes score highest and
     # must still never be chosen.
