@@ -232,7 +232,9 @@ class IngestSchema:
     ``on_malformed`` is "error" (report the row number) or "skip" (count the row).
     ``meta_columns`` selects what ``inspect`` prints of each dropped row: the
     named columns, or for "all" or () every column but the model and outcome
-    columns. ``ingest`` ignores it.
+    columns. ``ingest`` ignores it. A field of the wrong type raises IngestError
+    naming it: column names are non-empty strings, the reference a string or
+    None, and each label list a list or tuple of strings.
     """
 
     model_a: str
@@ -249,9 +251,15 @@ class IngestSchema:
     on_malformed: str = "error"
 
     def __post_init__(self):
+        for name in ("model_a", "model_b", "outcome"):
+            column = getattr(self, name)
+            if not isinstance(column, str) or not column:
+                raise IngestError(f"{name} must be a non-empty column name")
+        if self.reference is not None and not isinstance(self.reference, str):
+            raise IngestError("reference must be a model name or null")
         for name in ("a_wins", "b_wins", "ties", "both_bad"):
-            if isinstance(getattr(self, name), str):  # would be read as a list of its letters
-                raise IngestError(f"{name} must be a list of labels, not one string")
+            if not _strings(getattr(self, name)):  # one string would be read as its letters
+                raise IngestError(f"{name} must be a list of labels, got {getattr(self, name)!r}")
         if not self.a_wins or not self.b_wins:
             raise IngestError("schema needs at least one label for each decisive outcome")
         if self.on_malformed not in ("error", "skip"):
@@ -260,7 +268,7 @@ class IngestSchema:
             raise IngestError("format must be 'csv' or 'jsonl'")
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise IngestError("delimiter must be exactly one character")
-        if isinstance(self.meta_columns, str) and self.meta_columns != "all":
+        if self.meta_columns != "all" and not _strings(self.meta_columns):
             raise IngestError('meta_columns must be "all" or a list of column names')
         decisive = set(self.a_wins) | set(self.b_wins)
         if set(self.a_wins) & set(self.b_wins) or decisive & set(self.ties) or decisive & set(self.both_bad):
@@ -281,6 +289,11 @@ class IngestSchema:
             return cls(**kwargs)
         except TypeError as exc:
             raise IngestError(f"bad schema file {path}: {exc}") from None
+
+
+def _strings(value) -> bool:
+    """Whether ``value`` is a list or tuple of strings."""
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 SCHEMA_PRESETS: dict[str, IngestSchema] = {

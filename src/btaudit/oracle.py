@@ -30,10 +30,11 @@ __all__ = [
 _MAX_BRUTE_BUDGET = 4
 _MAX_REFITS = 2_000_000
 _FD_STEP = 1e-4
-# Subsets are refit together in chunks: the first holds the full-data fit and every
-# subset of size 1 and 2, each next one every subset of one larger size. A chunk is
-# split only where its stacked rows' dense curvature matrices and cell bin numbers
-# (8 * (M² + 2 * cells) bytes a row) would pass this many bytes.
+# Subsets are refit together in chunks: the first holds the full-data fit and the
+# subsets of size 1 and 2 that are first of their class multisets, each next one
+# those of one larger size. A chunk is split only where its stacked rows' dense
+# curvature matrices and cell bin numbers (8 * (M² + 2 * cells) bytes a row) would
+# pass this many bytes.
 _STACK_BYTES = 1 << 20
 
 
@@ -129,9 +130,10 @@ def random_spec(
 class BruteForceResult:
     """The exhaustive search's answer.
 
-    ``refits_performed`` counts the subsets examined, in enumeration order, up
-    to and including the answer, or all of them when none flips. It counts
-    subsets, not solves: subsets that share a class multiset share one solve.
+    ``refits_performed`` counts subsets, by size and lexicographically within a
+    size, up to and including the answer, or all of them when none flips. It
+    counts subsets, not solves: only the first subset of each class multiset is
+    refit.
     """
 
     flip_exists: bool
@@ -150,21 +152,21 @@ def brute_force_pair(
 
     Returns the smallest flipping subset, lexicographically first among the
     minimal ones, or flip_exists=False. Enumeration beyond ``_MAX_REFITS``
-    subsets is refused outright, never silently truncated. Subsets are
-    enumerated by size, and lexicographically within a size, and refit a chunk
-    at a time, as one stacked solve whose rows are bit-identical to single
-    refits. The first chunk opens with the full-data fit, which orders the
-    pair, and holds every subset of size 1 and 2; each later chunk holds one
-    larger size. A chunk stacks one row per distinct multiset of dropped
-    (cell, winner) classes, for the first subset with it, weighted by the cells'
-    class counts less that multiset: subsets with equal multisets have equal
-    class weights, so their refits are the same bits, and the first flipping or
-    non-finite subset is the first of its multiset. A
-    chunk's solve ends once every row up to its first flip or non-finite refit
-    has stopped. ``refits_performed`` counts subsets, not solves: every subset
-    up to and including the answer (all of them when none flips), those that
-    share a row included, and neither the full-data fit nor rows solved past
-    the answer.
+    subsets is refused outright, never silently truncated. A refit depends only
+    on the multiset of (cell, winner) classes a subset drops, so only each
+    multiset's first subset, by size and lexicographically within a size, is
+    enumerated: the one that drops a prefix of every class's matchups. These
+    subsets are refit a chunk at a time, as one stacked solve whose rows are
+    bit-identical to single refits, each weighted by the cells' class counts
+    less its multiset. The first chunk opens with the full-data fit, which
+    orders the pair, and holds the subsets of size 1 and 2; each later chunk
+    holds one larger size. A chunk's solve ends once every row up to its first
+    flip or non-finite refit has stopped. Any other subset refits to the bits
+    of its multiset's first, which comes before it, so the first flipping or
+    non-finite subset is always enumerated. ``refits_performed`` counts
+    subsets, not solves: the answer's position among every subset by size and
+    lexicographically (all of them when none flips), not counting the
+    full-data fit.
     """
     _require_integer("budget", budget)
     if budget < 0:
@@ -191,8 +193,13 @@ def brute_force_pair(
     cells, m = arena.cells, arena.n_models
     length = 2 * cells.n_cells
     cap = max(1, _STACK_BYTES // (8 * (m * m + length)))
-    subsets = [itertools.combinations(range(n), s) for s in sizes]
-    chunks = [itertools.chain([()], *subsets[:2]), *subsets[2:]]
+    order = cells.class_index[0]
+    same = cells.row_class[order[1:]] == cells.row_class[order[:-1]]
+    before = np.full(n, -1, dtype=np.intp)  # the class's previous matchup, or -1
+    before[order[1:][same]] = order[:-1][same]
+    before = before.tolist()
+    firsts = [_first_subsets(before, s) for s in sizes]
+    chunks = [itertools.chain([()], *firsts[:2]), *firsts[2:]]
     pair = None  # (leader, challenger), once the full-data fit has ordered them
 
     def flips(theta):
@@ -202,19 +209,13 @@ def brute_force_pair(
             pair = _leader_first(theta[0], ia, ib)
         return _reversed(theta[:, pair[0]], theta[:, pair[1]])
 
-    performed = -1  # the full-data fit is no subset's refit
     for chunk in chunks:
         while block := list(itertools.islice(chunk, cap)):
-            lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+            rows = len(block)
+            lengths = np.fromiter(map(len, block), dtype=np.intp, count=rows)
             dropped = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp,
                                   count=int(lengths.sum()))
-            # One stack row per distinct class multiset, for its first subset: later ones
-            # would refit to the same bits, and come after it in the answer's order.
-            classes = cells.row_class[dropped]
-            first = _first_of_each_multiset(classes, lengths)
-            kept = np.flatnonzero(first)
-            rows = len(kept)
-            bins = np.repeat(np.arange(rows) * length, lengths[kept]) + classes[np.repeat(first, lengths)]
+            bins = np.repeat(np.arange(rows) * length, lengths) + cells.row_class[dropped]
             taken = np.bincount(bins, minlength=rows * length).reshape(rows, length)
             cws = (cells.class_counts - taken).astype(np.float64)
             scores, reasons, _, _ = _minimize_stack(cells, cws, m, options, lambda theta: flips(theta).any())
@@ -223,38 +224,35 @@ def brute_force_pair(
             solved = reasons.index(None) if None in reasons else rows
             hits = np.flatnonzero(flips(scores[:solved])) if solved else ()
             if len(hits):
-                return BruteForceResult(True, block[kept[hits[0]]], performed + int(kept[hits[0]]) + 1)
+                return BruteForceResult(True, block[hits[0]], _subset_position(n, block[hits[0]]))
             if solved < rows:
-                subset = block[kept[solved]]
+                subset = block[solved]
                 if not subset:
                     raise FitError("non-finite values encountered during fitting"
                                    " (possible separation with ridge = 0)")
                 raise FitError(f"the refit without matchups {subset} met non-finite values")
-            performed += len(block)
-    return BruteForceResult(False, None, performed)
+    return BruteForceResult(False, None, total)
 
 
-def _first_of_each_multiset(classes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Whether each subset is the first, in enumeration order, with its multiset of classes.
+def _subset_position(n: int, subset: tuple[int, ...]) -> int:
+    """Where ``subset`` comes, from 1, among the nonempty subsets of ``n`` matchups by
+    size and lexicographically within a size. The subsets of its size that come after it
+    share its first i matchups, then take all of their other ``size - i`` matchups from
+    above its next one, r: ``comb(n - 1 - r, size - i)`` of them for each i."""
+    size = len(subset)
+    later = sum(comb(n - 1 - r, size - i) for i, r in enumerate(subset))
+    return sum(comb(n, k) for k in range(1, size + 1)) - later
 
-    ``lengths`` holds each subset's size and ``classes`` the classes of their
-    matchups, subset after subset. A subset's key is its size, which keeps the
-    empty subset's key non-empty, then its classes sorted and padded with -1; a
-    stable sort keeps equal keys in enumeration order.
-    """
-    rows, width = len(lengths), int(lengths.max())
-    keys = np.full((rows, 1 + width), -1, dtype=np.intp)
-    keys[:, 0] = lengths
-    column = 1 + np.arange(len(classes)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    keys[np.repeat(np.arange(rows), lengths), column] = classes
-    keys[:, 1:].sort(axis=1)
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    leads = np.ones(rows, dtype=bool)
-    leads[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = np.zeros(rows, dtype=bool)
-    first[order[leads]] = True
-    return first
+
+def _first_subsets(before: list[int], size: int, start: int = 0, chosen: tuple[int, ...] = ()):
+    """Each ``size``-subset of matchups from ``start`` on, lexicographically, that holds
+    ``before[r]`` for every matchup r it holds: the first subset of its class multiset."""
+    if not size:
+        yield chosen
+        return
+    for r in range(start, len(before) - size + 1):
+        if before[r] < 0 or before[r] in chosen:
+            yield from _first_subsets(before, size - 1, r + 1, (*chosen, r))
 
 
 def finite_difference_influence(

@@ -233,6 +233,41 @@ def test_schema_from_file_and_label_overlap(tmp_path):
             IngestSchema(**{**fields, name: label})
 
 
+_SCHEMA_FIELDS = {"model_a": "a", "model_b": "b", "outcome": "w", "a_wins": ["A"], "b_wins": ["B"]}
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("model_a", ["model_a"], "model_a must be a non-empty column name"),
+    ("model_b", "", "model_b must be a non-empty column name"),
+    ("outcome", 7, "outcome must be a non-empty column name"),
+    ("reference", 3, "reference must be a model name or null"),
+    ("reference", ["a"], "reference must be a model name or null"),
+    ("a_wins", {"model_a": 1}, "a_wins must be a list of labels"),
+    ("ties", 5, "ties must be a list of labels"),
+    ("both_bad", None, "both_bad must be a list of labels"),
+    ("meta_columns", 5, 'meta_columns must be "all" or a list of column names'),
+    ("meta_columns", {"prompt": 1}, 'meta_columns must be "all" or a list of column names'),
+])
+def test_schema_refuses_a_field_of_the_wrong_type_by_name(tmp_path, name, value, message):
+    # These were read as tuples of letters or keys, or failed later: a column
+    # name as a list blamed the first data row, and meta_columns=5 broke inspect.
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({**_SCHEMA_FIELDS, name: value}))
+    with pytest.raises(IngestError, match=f"^{message}"):
+        IngestSchema.from_file(path)
+    with pytest.raises(IngestError, match=f"^{message}"):
+        IngestSchema(**{**_SCHEMA_FIELDS, name: value})
+
+
+def test_schema_refuses_a_label_or_column_that_is_not_a_string():
+    # A schema file's list items are read as text; one built in code is checked item by item.
+    for name in ("a_wins", "b_wins", "ties", "both_bad", "meta_columns"):
+        with pytest.raises(IngestError, match=f"^{name} must be"):
+            IngestSchema(**{**_SCHEMA_FIELDS, name: ("x", 1)})
+    schema = IngestSchema(**{**_SCHEMA_FIELDS, "ties": ["T"], "meta_columns": ["prompt"], "reference": "a"})
+    assert schema.ties == ["T"] and schema.meta_columns == ["prompt"]
+
+
 def test_arena_rejects_self_matches_and_bad_outcomes():
     with pytest.raises(IngestError, match="itself"):
         Arena.from_records(["a", "b"], [(0, 0, 1)])

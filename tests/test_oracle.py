@@ -530,8 +530,44 @@ def test_one_row_chunks_solve_the_full_data_fit_alone_first(monkeypatch):
         solves.clear()
         want = reference_brute_force_pair(arena, first, second, 3)
         assert brute_force_pair(arena, first, second, 3) == want
-        assert [len(reasons) for _, reasons, _ in solves] == [1] * (want.refits_performed + 1)
+        # One solve for each distinct class multiset up to and including the answer's.
+        keys, _ = _stacked_multisets(arena, 3)
+        assert [len(reasons) for _, reasons, _ in solves] == [1] * (1 + len(set(keys[:want.refits_performed])))
         assert solves[0][0][0].tobytes() == fit(arena).scores.tobytes()
+
+
+def test_a_split_chunk_solves_no_multiset_an_earlier_block_solved(monkeypatch):
+    # Budget 3 on 40 matchups has 9,880 triples, more than the 8,738 rows a
+    # 3-model chunk holds, but far fewer triples of classes: the triples' chunk
+    # is one solve, and no class multiset is stacked twice.
+    import btaudit.oracle as oracle_mod
+
+    arena, first, second = _big_top_pair(1, 3, 40)
+    cells = arena.cells
+    assert comb(40, 3) > oracle_mod._STACK_BYTES // (8 * (3 * 3 + 2 * cells.n_cells))
+    solves = _record_solves(monkeypatch)
+    real, stacked = oracle_mod._minimize_stack, []
+
+    def stack(cells, cws, n_models, options, settled=None):
+        stacked.extend(map(bytes, cws))
+        return real(cells, cws, n_models, options, settled)
+
+    monkeypatch.setattr(oracle_mod, "_minimize_stack", stack)
+    want = reference_brute_force_pair(arena, first, second, 3)
+    assert not want.flip_exists
+    assert brute_force_pair(arena, first, second, 3) == want
+    _, rows = _stacked_multisets(arena, 3)
+    assert len(solves) == 2 and sum(len(reasons) for _, reasons, _ in solves) == 1 + len(rows)
+    assert len(set(stacked)) == len(stacked)
+
+
+def test_subset_position_counts_every_subset_up_to_it():
+    from btaudit.oracle import _subset_position
+
+    for n in range(1, 10):
+        subsets = itertools.chain.from_iterable(itertools.combinations(range(n), s) for s in range(1, 5))
+        for position, subset in enumerate(subsets, start=1):
+            assert _subset_position(n, subset) == position
 
 
 def test_budget_zero_solves_only_the_full_data_fit_and_keeps_its_errors(monkeypatch):
