@@ -353,27 +353,26 @@ def _csv_records(stream, schema: IngestSchema):
     later blank rows are skipped, a short row reads ``None`` for its missing
     fields, extra fields are ignored, and of duplicate header names the last
     one wins. A row's number is the line it ends on; ``dict(zip(header, row))``
-    is its record.
+    is its record. A header without the schema's model or outcome column is an
+    error, whatever ``on_malformed`` says, before any row is read.
     """
     reader = csv.reader(stream, delimiter=schema.delimiter)
     try:
         header = next(reader, None)
         if header is None:
             return
+        column = {name: k for k, name in enumerate(header)}
+        for field in ("model_a", "model_b", "outcome"):
+            if getattr(schema, field) not in column:
+                raise IngestError(f"header has no column {getattr(schema, field)!r} for {field}")
         yield header
         width = len(header)
-        column = {name: k for k, name in enumerate(header)}
-        at_a, at_b, at_outcome = (column.get(name, width)
-                                  for name in (schema.model_a, schema.model_b, schema.outcome))
-        # Rows are cut or padded to the header. An absent column reads slot
-        # ``width``, a None appended to every row.
-        absent = width in (at_a, at_b, at_outcome)
-        fits = -1 if absent else width
+        at_a, at_b, at_outcome = (column[name] for name in (schema.model_a, schema.model_b, schema.outcome))
         for row in reader:
             if not row:
                 continue
-            if len(row) != fits:
-                row = row[:width] + [None] * (width - len(row)) + [None] * absent
+            if len(row) != width:
+                row = row[:width] + [None] * (width - len(row))
             yield reader.line_num, row[at_a], row[at_b], row[at_outcome], row
     except csv.Error as exc:
         raise IngestError(f"row {reader.line_num}: {exc}") from None

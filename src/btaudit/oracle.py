@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .arena import Arena
+from .arena import Arena, ModelRegistry
 from .btmodel import BtFit, FitError, SolverOptions, _minimize_stack, fit, sigmoid
 from .robustness import _leader_first, _require_integer, _reversed
 
@@ -27,7 +27,6 @@ __all__ = [
     "random_spec",
 ]
 
-_MAX_BRUTE_BUDGET = 4
 _MAX_REFITS = 2_000_000
 _FD_STEP = 1e-4
 # Subsets are refit together in chunks: the first holds the full-data fit and the
@@ -78,17 +77,12 @@ def generate(spec: SynthSpec) -> Arena:
     """Draw the arena described by the spec; identical spec, identical arena."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     strengths = np.asarray(spec.strengths, dtype=np.float64)
-    side_a: list[int] = []
-    side_b: list[int] = []
-    a_won: list[int] = []
-    for a, b, games in spec.schedule:
-        p_win = float(sigmoid(strengths[a] - strengths[b]))
-        wins = rng.random(games) < p_win
-        side_a.extend([a] * games)
-        side_b.extend([b] * games)
-        a_won.extend(int(w) for w in wins)
+    a, b, games = np.array(spec.schedule, dtype=np.int64).reshape(-1, 3).T
+    # One draw per game in schedule order: the stream reads as one draw per entry would.
+    p_win = np.repeat(sigmoid(strengths[a] - strengths[b]), games)
+    a_won = rng.random(int(games.sum())) < p_win
     names = [f"m{k}" for k in range(spec.n_models)]
-    return Arena.from_records(names, zip(side_a, side_b, a_won))
+    return Arena(ModelRegistry(names), np.repeat(a, games), np.repeat(b, games), a_won)
 
 
 def random_spec(
@@ -152,7 +146,9 @@ def brute_force_pair(
 
     Returns the smallest flipping subset, lexicographically first among the
     minimal ones, or flip_exists=False. Enumeration beyond ``_MAX_REFITS``
-    subsets is refused outright, never silently truncated. A refit depends only
+    subsets is refused outright, never silently truncated; that cap is the
+    search's one limit, and it admits any budget up to 20 matchups, so no
+    subset holds more than 19. A refit depends only
     on the multiset of (cell, winner) classes a subset drops, so only each
     multiset's first subset, by size and lexicographically within a size, is
     enumerated: the one that drops a prefix of every class's matchups. These
@@ -171,8 +167,6 @@ def brute_force_pair(
     _require_integer("budget", budget)
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if budget > _MAX_BRUTE_BUDGET:
-        raise ValueError(f"budget {budget} above the exhaustive-search limit ({_MAX_BRUTE_BUDGET})")
     options = options or SolverOptions()
     ia, ib = arena.models.resolve_pair(a, b)
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and tallies.
 """
 
+import csv
 import itertools
 import json
 import os
@@ -313,3 +314,48 @@ def test_table1_reproduction_when_datasets_present():
         print(f"{row['file']}: {result.count} of {arena.n_matchups} "
               f"(published {expected} of {row['total']})")
     _pass("table1-reproduction")
+
+
+def _write_preference_csv(path: Path, games) -> int:
+    """Write ``(model a, model b, winner)`` games in the arena-human-preference-55k layout,
+    each with an id, a prompt and two responses; returns the number of data rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["id", "model_a", "model_b", "prompt", "response_a", "response_b", "winner"])
+        for k, (name_a, name_b, winner) in enumerate(games):
+            out.writerow([1000 + k, name_a, name_b, f'["say \\"hi\\", #{k}"]', '["hi"]', '["hello"]', winner])
+    return len(games)
+
+
+def test_table1_path_runs_on_written_files(tmp_path, monkeypatch, capsys):
+    # Two files in the layout of a named preset. In the first, the top pair's w-l block
+    # has w > l >= 2, so its ridgeless fit converges, and the fewest drops that reverse
+    # it are w - l + 1 of the leader's wins: the closed form of a two-model fit, where
+    # w - l drops leave a tie. In the second, model "c" lost every game, so the
+    # ridgeless fit diverges and the fallback fit is the one audited. There w - l drops
+    # leave the data tied too, but the ridge alone may order that tie, so w - l + 1 is
+    # only an upper bound.
+    w1, l1, w2, l2 = 7, 3, 6, 2
+    ties = [("alpha", "beta", "tie"), ("beta", "alpha", "tie (bothbad)")]
+    games1 = [("alpha", "beta", "model_a")] * 4 + ties + [("beta", "alpha", "model_b")] * 3
+    games1 += [("alpha", "beta", "model_b"), ("beta", "alpha", "model_a"), ("beta", "alpha", "model_a")]
+    games2 = [("a", "b", "model_a")] * 3 + [("c", "a", "model_b"), ("b", "c", "model_a")] + ties[:1]
+    games2 += [("b", "a", "model_b")] * 3 + [("a", "b", "model_b"), ("b", "a", "model_a")] + ties[1:]
+    manifest = []
+    for name, games, w, l in (("one.csv", games1, w1, l1), ("two.csv", games2, w2, l2)):
+        total = _write_preference_csv(tmp_path / name, games)
+        manifest.append({"file": name, "schema": "arena-human-preference-55k",
+                         "num_dropped": w - l + 1, "win_percent": 100.0 * w / (w + l), "total": total})
+    (tmp_path / "table1.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    preset = SCHEMA_PRESETS["arena-human-preference-55k"]
+    one, two = (fit(ingest(tmp_path / name, preset), options=RIDGELESS) for name in ("one.csv", "two.csv"))
+    assert one.converged and not two.converged and two.diverged
+    assert ingest(tmp_path / "one.csv", preset).stats.ties == 2
+
+    monkeypatch.setenv("BTAUDIT_DATA_DIR", str(tmp_path))
+    test_table1_reproduction_when_datasets_present()
+    out = capsys.readouterr().out
+    assert "one.csv: 5 of 10 (published 5 of 12)" in out
+    assert "two.csv: " in out
+    assert "ACCEPTANCE table1-reproduction: PASS" in out

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,26 @@ def test_malformed_row_skip_mode_counts(tmp_path):
     assert stats.malformed_skipped == 2
     assert stats.decisive == 1
     assert stats.decisive + stats.ties + stats.malformed_skipped == stats.source_rows
+
+
+@pytest.mark.parametrize("on_malformed", ["error", "skip"])
+def test_a_header_without_a_schema_column_is_refused_by_name(tmp_path, on_malformed):
+    # Each was blamed on row 2, or under "skip" every row was skipped and no matchup was left.
+    from dataclasses import replace
+
+    schema = replace(SCHEMA, on_malformed=on_malformed)
+    cases = [
+        (CSV, replace(schema, model_a="modelA"), "header has no column 'modelA' for model_a"),
+        (CSV, replace(schema, model_b="B"), "header has no column 'B' for model_b"),
+        (CSV, replace(schema, outcome="verdict"), "header has no column 'verdict' for outcome"),
+        (CSV.replace(",", "\t"), schema, "header has no column 'model_a' for model_a"),
+        ("prompt,winner\nhi,model_a\n", schema, "header has no column 'model_a' for model_a"),
+    ]
+    for text, case, message in cases:
+        path = _file(tmp_path, text)
+        for read in (ingest, lambda path, schema: _records_at(path, schema, [0])):
+            with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+                read(path, case)
 
 
 def test_too_few_models_and_no_decisive_rows(tmp_path):

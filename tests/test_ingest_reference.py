@@ -290,13 +290,24 @@ def jsonl_inputs(draw):
     return text, replace(draw(schemas), format="jsonl")
 
 
-def _check(text, schema, bom):
+def _header_error(text, schema):
+    """The error for a CSV header, as ``csv.DictReader`` reads it, that lacks a column the
+    schema names for a model or the outcome; None for a header that has them all."""
+    header = csv.DictReader(io.StringIO(text, newline=""), delimiter=schema.delimiter).fieldnames
+    for field in ("model_a", "model_b", "outcome"):
+        if header is not None and getattr(schema, field) not in header:
+            return IngestError, f"header has no column {getattr(schema, field)!r} for {field}"
+    return None
+
+
+def _check(text, schema, bom, expected=None):
+    """Compare ingest with the reference, or with ``expected`` when that is given."""
     if bom:
         text = "\ufeff" + text
     # A directory per example: hypothesis refuses function-scoped fixtures under @given.
     with tempfile.TemporaryDirectory() as directory:
         source = _source(directory, text)
-        expected = _attempt(_reference_result, source, schema)
+        expected = expected or _attempt(_reference_result, source, schema)
         assert _attempt(_result, source, schema) == expected
         if isinstance(expected[0], type):  # inspect rejects what ingest rejects, in the same words
             assert _attempt(_records_at, source, schema, ()) == expected
@@ -309,7 +320,9 @@ REFERENCE_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
 @REFERENCE_SETTINGS
 @given(case=csv_inputs(), bom=st.booleans())
 def test_csv_ingest_matches_dictreader_reference(case, bom):
-    _check(*case, bom)
+    # A header that lacks a schema column is refused before any row is read.
+    text, schema = case
+    _check(text, schema, bom, _header_error(text, schema))
 
 
 @REFERENCE_SETTINGS

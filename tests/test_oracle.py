@@ -15,16 +15,21 @@ from btaudit import (
     finite_difference_influence,
     fit,
     generate,
+    min_drop_search,
     random_spec,
     ranking,
 )
-from btaudit.btmodel import _minimize
-from btaudit.oracle import _MAX_BRUTE_BUDGET, BruteForceResult
+from btaudit.btmodel import _minimize, sigmoid
+from btaudit.oracle import BruteForceResult
 from btaudit.robustness import _canonical_pair, reverses
-from conftest import RIDGELESS, bench_inputs, two_player_arena
+from conftest import RIDGELESS, bench_inputs, round_robin_spec, two_player_arena
 
 
 # ---- reference: the exhaustive search as one refit per subset, kept verbatim ----
+
+# The reference's own budget limit; a test lifts it to compare past budget 4.
+_REFERENCE_MAX_BUDGET = 4
+
 
 def _fit_scores(arena: Arena, w: np.ndarray, options: SolverOptions) -> np.ndarray:
     """Scores alone; collapses ``w`` row by row, a check on ``refit_without``'s subtraction."""
@@ -47,8 +52,8 @@ def reference_brute_force_pair(
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if budget > _MAX_BRUTE_BUDGET:
-        raise ValueError(f"budget {budget} above the exhaustive-search limit ({_MAX_BRUTE_BUDGET})")
+    if budget > _REFERENCE_MAX_BUDGET:
+        raise ValueError(f"budget {budget} above the exhaustive-search limit ({_REFERENCE_MAX_BUDGET})")
     options = options or SolverOptions()
 
     ia, ib = _canonical_pair(fit(arena, options=options), a, b)
@@ -79,6 +84,23 @@ def reference_brute_force_pair(
     return BruteForceResult(False, None, performed)
 
 
+def reference_generate(spec: SynthSpec) -> Arena:
+    """``generate`` as one draw per schedule entry, kept verbatim."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    strengths = np.asarray(spec.strengths, dtype=np.float64)
+    side_a: list[int] = []
+    side_b: list[int] = []
+    a_won: list[int] = []
+    for a, b, games in spec.schedule:
+        p_win = float(sigmoid(strengths[a] - strengths[b]))
+        wins = rng.random(games) < p_win
+        side_a.extend([a] * games)
+        side_b.extend([b] * games)
+        a_won.extend(int(w) for w in wins)
+    names = [f"m{k}" for k in range(spec.n_models)]
+    return Arena.from_records(names, zip(side_a, side_b, a_won))
+
+
 # ---- tests ----
 
 
@@ -102,6 +124,33 @@ def test_generate_log3_gap_near_three_quarters():
     spec = SynthSpec(strengths=(0.0, -np.log(3.0)), schedule=((0, 1, 10_000),), seed=6)
     arena = generate(spec)
     assert abs(arena.a_won.mean() - 0.75) < 0.02
+
+
+def _random_schedule_spec(seed: int) -> SynthSpec:
+    """A spec of 2-6 models whose entries play 1-40 games each, strengths in [-3, 3]."""
+    rng = np.random.Generator(np.random.PCG64([seed, 31]))
+    m = int(rng.integers(2, 7))
+    schedule = []
+    for _ in range(int(rng.integers(0, 12))):
+        a, b = (int(x) for x in rng.choice(m, 2, replace=False))
+        schedule.append((a, b, int(rng.integers(1, 41))))
+    strengths = (0.0, *(float(x) for x in rng.uniform(-3.0, 3.0, m - 1)))
+    return SynthSpec(strengths=strengths, schedule=tuple(schedule), seed=seed)
+
+
+def test_generate_matches_one_draw_per_schedule_entry():
+    # One draw of every game reads the stream as one draw per entry did, so every arena
+    # keeps its bits: single-game specs, multi-game schedules and the empty schedule.
+    specs = [random_spec(seed) for seed in range(60)]
+    specs += [round_robin_spec(seed, 2 + seed % 5, games_per_pair=1 + seed % 4) for seed in range(20)]
+    specs += [_random_schedule_spec(seed) for seed in range(120)]
+    specs.append(SynthSpec(strengths=(0.0, 0.5), schedule=(), seed=3))
+    for spec in specs:
+        got, want = generate(spec), reference_generate(spec)
+        assert got.models.names == want.models.names
+        for name in ("side_a", "side_b", "a_won"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_spec_validation():
@@ -188,8 +237,6 @@ def test_enumeration_cap_refuses_not_truncates(monkeypatch):
     arena = generate(random_spec(9, n_models=3, target_matchups=30))
     with pytest.raises(EnumerationCapError, match="cap is 100$"):
         brute_force_pair(arena, 0, 1, 3)
-    with pytest.raises(ValueError, match="limit"):
-        brute_force_pair(arena, 0, 1, 5)
 
 
 def test_finite_difference_on_symmetric_arena(arena_2_2):
@@ -582,3 +629,32 @@ def test_budget_zero_solves_only_the_full_data_fit_and_keeps_its_errors(monkeypa
                 search(arena, a, b, 0)
             raised.append((caught.type, str(caught.value)))
         assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("seed, n, budget, size", [
+    (919, 11, 5, 5), (919, 9, 6, 6), (919, 10, 7, 7), (914, 9, 8, 8), (920, 10, 8, 0), (919, 10, 5, 0),
+], ids=["flip-of-5", "flip-of-6", "flip-of-7", "flip-of-8", "none-at-8", "flip-of-7-past-budget-5"])
+def test_budgets_past_4_match_one_refit_per_subset(monkeypatch, seed, n, budget, size):
+    # The subset cap admits any budget up to 20 matchups; so does the reference, its limit lifted.
+    monkeypatch.setitem(globals(), "_REFERENCE_MAX_BUDGET", 8)
+    arena, first, second = _top_pair(seed, n)
+    want = reference_brute_force_pair(arena, first, second, budget)
+    assert len(want.minimal_subset or ()) == size
+    assert brute_force_pair(arena, first, second, budget) == want
+
+
+def test_greedy_flips_no_fewer_matchups_than_the_exact_search():
+    # Arenas shaped as the benchmark's large ones, at budgets the subset cap admits
+    # there. A refit-verified greedy flip is one flipping subset, so it can match the
+    # exact minimum but never beat it, nor flip where no subset of the budget does.
+    sizes = []
+    for n_models, n, budget in ((3, 30, 6), (4, 24, 6), (5, 40, 5)):
+        for seed in range(1, 17):
+            arena, first, second = _big_top_pair(seed, n_models, n)
+            exact = brute_force_pair(arena, first, second, budget)
+            greedy = min_drop_search(arena, fit(arena), first, second, max_budget=budget)
+            size = len(exact.minimal_subset or ())
+            assert greedy.found <= exact.flip_exists
+            assert not greedy.found or greedy.count >= size
+            sizes.append(size)
+    assert max(sizes) > 4 and min(sizes) == 0
