@@ -8,14 +8,17 @@ and pair influence keeps them per class.
 Everything derived from a fit lives in its cache, read-only, for the fit's
 lifetime: the factor, each model's class influence (filled as targets are
 needed, at most M vectors of 2 * cells floats), and each audited pair's
-reports (``check_pair``). Every call, inside an audit or not, reads and fills
-the same entries, so its answers do not depend on what ran before. Every entry
-is stored with ``setdefault``, so it is set once and never replaced: of two
-threads that race to fill one, both return the first one stored.
+reports (``check_pair``). A check that ``_drop_effect_bound`` settles reads two
+rows of the factor's inverse and fills no class influence. Every call, inside
+an audit or not, reads and fills the same entries, so its answers do not
+depend on what ran before. Every entry is stored with ``setdefault``, so it
+is set once and never replaced: of two threads that race to fill one, both
+return the first one stored.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -43,8 +46,10 @@ class HessianFactor:
     Assembled by the solver's own curvature routine from the fit's pair cells,
     at the fitted scores; ``probs[c]`` is the fitted probability that cell c's
     lower-index model wins; ``inverse`` embeds the inverse with a zero reference
-    row and column. It, the per-cell residuals and leverages and the per-class
-    one-step Newton denominators are computed here, once per fit.
+    row and column. It, the per-cell residuals and leverages, the per-class
+    one-step Newton denominators and the two numbers the first-order screen
+    reads (each row's largest magnitude, the smallest denominator) are
+    computed here, once per fit.
     """
 
     def __init__(self, bt: BtFit):
@@ -88,6 +93,8 @@ class HessianFactor:
         self.saturated_rows = (
             int(np.count_nonzero(saturated[cells.row_class])) if saturated.any() else 0
         )
+        self.row_scales = np.abs(k).max(axis=1).tolist()
+        self.newton_floor = float(self.newton_denominators.min())
 
 
 def hessian_factor(bt: BtFit) -> HessianFactor:
@@ -101,6 +108,11 @@ def hessian_factor(bt: BtFit) -> HessianFactor:
 def _check_fit(bt: BtFit) -> None:
     if not bt.converged:
         raise FitError("influence requires a converged fit")
+
+
+def _check_method(method: str) -> None:
+    if method not in ("if", "newton"):
+        raise ValueError(f"method must be 'if' or 'newton', got {method!r}")
 
 
 # Per-class scores. Every matchup of a class (one pair cell, one winner) has the
@@ -135,6 +147,42 @@ def _warn_saturated(bt: BtFit) -> None:
         )
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _drop_effect_bound(bt: BtFit, a: int, b: int, count: int, method: str) -> float:
+    """An upper bound on how far any ``count`` drops are predicted to move the gap of a - b.
+
+    Each class score of the pair is (v[lo] - v[hi]) * residual with
+    v = K[a] - K[b] (K the factor's inverse) and |residual| <= 1, so a drop set
+    of ``count`` matchups changes the gap by at most count * (max v - min v),
+    divided by the smallest one-step denominator for ``method="newton"``. A
+    Newton check on a factor with saturated rows gets ``inf`` (nothing is
+    settled), so its ``pair_influence`` still runs and warns. O(M) per call.
+    """
+    _check_method(method)
+    fac = hessian_factor(bt)
+    if method == "newton" and fac.saturated_rows:
+        return math.inf
+    k = fac.inverse
+    v = k[a] - k[b]
+    # Rounding margin, with u = eps / 2 and S = max|K[a]| + max|K[b]|.
+    # ``pair_influence`` forms each target's score fl(fl(K[t][lo] - K[t][hi]) * r),
+    # divides it by the class denominator d for Newton, and subtracts the two
+    # targets. Each target's score (at most 2 max|K[t]| / d in size) is off by
+    # at most 3u of its size and the difference by u of itself, so a computed
+    # class score is at most ((1 + u) R + 6uS) / d in size, R = max v - min v
+    # exact. The computed v is within uS of the exact one entry by entry, so
+    # R <= (1 + u) R~ + 2uS for the R~ computed here, and a sum of ``count``
+    # terms adds (count - 1)u of their magnitudes. So |delta| <=
+    # count * (R~ + 8uS) * (1 + (count + 1)u) / floor to first order. The bound
+    # takes 16uS and 2(count + 4)u; the slack also covers the second-order
+    # terms and the few roundings in computing it.
+    spread = float(v.max() - v.min()) + 8.0 * _EPS * (fac.row_scales[a] + fac.row_scales[b])
+    floor = fac.newton_floor if method == "newton" else 1.0
+    return count * spread * (1.0 + (count + 4) * _EPS) / floor
+
+
 def influence_scores(bt: BtFit, target: int | str) -> np.ndarray:
     """Derivative of the target model's fitted score with respect to each matchup weight.
 
@@ -159,13 +207,12 @@ def pair_influence(bt: BtFit, a: int | str, b: int | str, method: str = "if") ->
     """
     _check_fit(bt)
     ia, ib = bt.arena.models.resolve_pair(a, b)
-    if method == "if":
-        per_target = _class_influence
-    elif method == "newton":
+    _check_method(method)
+    if method == "newton":
         _warn_saturated(bt)
         per_target = _class_newton
     else:
-        raise ValueError(f"method must be 'if' or 'newton', got {method!r}")
+        per_target = _class_influence
     class_scores = per_target(bt, ia) - per_target(bt, ib)
     class_scores.flags.writeable = False
     return class_scores

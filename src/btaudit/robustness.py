@@ -18,7 +18,7 @@ import numpy as np
 
 from .arena import Arena, PairCells
 from .btmodel import BtFit, ranking, refit_without
-from .influence import _check_fit, pair_influence
+from .influence import _check_fit, _drop_effect_bound, pair_influence
 
 __all__ = [
     "DropBudget",
@@ -125,6 +125,13 @@ class RobustnessReport:
     reversed the ordering beyond rounding. Degenerate refits withhold the
     verdict: those where every matchup of a pair model was dropped, and those
     that did not converge, whose scores are not a minimizer.
+
+    A check settled by the first-order screen (see ``check_pair``) holds
+    ``dropped=()`` and ``predicted_delta = -bound``, where ``bound`` is at least
+    the size of the predicted gap change of every drop set within the budget,
+    and ``gap_before`` exceeds it. So ``predicted_flip`` is False, no refit ran
+    and the verdict is "robust", as the unscreened check would report. Only
+    the drop set and the predicted change it would have found are not kept.
     """
 
     pair: tuple[int, int]
@@ -306,8 +313,20 @@ def check_pair(
     method). Its memory is one report per distinct key. ``always_refit=True``
     neither reads nor fills this store, and a report that refit is never
     stored. A Newton check served from the store does not repeat the
-    saturated-leverage warning. Any other check selects its drop set afresh
-    from the pair's class scores.
+    saturated-leverage warning.
+
+    A check that misses the store and is not ``always_refit`` first screens
+    the pair in O(M): each class score of the pair is
+    ``(v[lo] - v[hi]) * residual``, with ``v = K[a] - K[b]`` two rows of the
+    fit's inverse curvature and ``|residual| <= 1``, so no drop set of
+    ``count`` matchups changes the gap by more than ``count * (max v - min v)``
+    (over the smallest one-step denominator for ``method="newton"``), plus a
+    rounding margin. When the gap exceeds that bound, no drop set within the
+    budget is predicted to flip the pair, so the check stores a robust report
+    with no drop set and ``predicted_delta = -bound``, with no pair influence,
+    selection or refit. A Newton check on a fit with saturated leverages is
+    not screened. Any other check selects its drop set afresh from the pair's
+    class scores.
 
     The refit reuses the base fit's options and starts from the canonical
     origin, so exactly symmetric reduced datasets land on score ties (a gap
@@ -327,17 +346,22 @@ def check_pair(
     before = float(bt.scores[ia]), float(bt.scores[ib])
     count = budget.resolve(arena.n_matchups)
 
-    cells = arena.cells
-    scores = pair_influence(bt, ia, ib, method=method)
-    dropped = select_drop_set(scores, cells, count)
-    delta = float(-scores[cells.row_class[dropped]].sum()) if dropped.size else 0.0
-
     refit = {}
-    if dropped.size and (always_refit or _predicts_flip(before, delta)):
-        after = refit_without(arena, bt.options, dropped)
-        refit = dict(scores_after=(float(after.scores[ia]), float(after.scores[ib])),
-                     refit_unidentified=after.unidentified, refit_converged=after.converged,
-                     refit_iterations=after.iterations)
+    bound = math.inf if always_refit else _drop_effect_bound(bt, ia, ib, count, method)
+    if before[0] - before[1] > bound:
+        # Screened: no drop set within the budget is predicted to flip the pair.
+        delta, dropped = -bound, ()
+    else:
+        cells = arena.cells
+        scores = pair_influence(bt, ia, ib, method=method)
+        rows = select_drop_set(scores, cells, count)
+        delta = float(-scores[cells.row_class[rows]].sum()) if rows.size else 0.0
+        dropped = tuple(rows.tolist())
+        if rows.size and (always_refit or _predicts_flip(before, delta)):
+            after = refit_without(arena, bt.options, rows)
+            refit = dict(scores_after=(float(after.scores[ia]), float(after.scores[ib])),
+                         refit_unidentified=after.unidentified, refit_converged=after.converged,
+                         refit_iterations=after.iterations)
 
     names = bt.arena.models.names
     report = RobustnessReport(
@@ -347,7 +371,7 @@ def check_pair(
         budget=budget,
         method=method,
         predicted_delta=delta,
-        dropped=tuple(dropped.tolist()),
+        dropped=dropped,
         scores_before=before,
         **refit,
     )

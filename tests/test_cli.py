@@ -561,7 +561,7 @@ fit_gradient_norm: 3.57928594939e-16"""
 GOLDEN_TOPK_K1_PAIRS = """leader,challenger,gap_before,verdict,predicted_flip,refit_performed,dropped_count
 alpha,gamma,0.514422220535,robust,false,false,1
 alpha,beta,0.664370263756,robust,false,false,1
-alpha,delta,2.0288564945,robust,false,false,1
+alpha,delta,2.0288564945,robust,false,false,0
 """
 
 GOLDEN_TOPK_K2 = """report: topk-robustness

@@ -28,6 +28,7 @@ from btaudit import (
     select_drop_set,
 )
 from btaudit import robustness as robustness_mod
+from btaudit.influence import _drop_effect_bound, hessian_factor
 from btaudit.robustness import reverses
 from conftest import bench_inputs, leverage_rows, round_robin_spec, two_player_arena
 
@@ -692,8 +693,9 @@ def test_warm_audits_on_one_fit_equal_cold_audits():
 def test_checks_on_one_fit_agree_in_either_pair_order_and_refuse_bad_inputs():
     arena = generate(random_spec(71, n_models=5, target_matchups=80))
     bt = fit(arena)
-    a, b = ranking(bt).order[:2]
+    a, b = ranking(bt).order[1:3]  # a pair the first-order screen leaves to selection
     forward = check_pair(arena, bt, a, b, DropBudget(count=3))
+    assert len(forward.dropped) == 3
     assert check_pair(arena, bt, b, a, DropBudget(count=3)) == forward
     assert check_pair(arena, bt, b, a, DropBudget(count=2)).dropped == forward.dropped[:2]
     assert check_pair(arena, bt, a, b, DropBudget(count=3), method="newton").method == "newton"
@@ -808,19 +810,43 @@ def _count_stages(monkeypatch, names=("pair_influence", "select_drop_set", "refi
 
 
 def test_a_repeat_check_returns_the_stored_report_without_work(monkeypatch):
+    # At count 3 the top pair is past the first-order screen but predicts no flip.
+    arena = generate(random_spec(75, n_models=5, target_matchups=120))
+    bt = fit(arena)
+    a, b = ranking(bt).order[:2]
+    budget = DropBudget(count=3)
+    calls = _count_stages(monkeypatch)
+    first = check_pair(arena, bt, a, b, budget)
+    assert first.dropped and not first.refit_performed
+    assert calls == {"pair_influence": 1, "select_drop_set": 1, "refit_without": 0}
+    assert bt._cache["reports"] == {(a, b, budget, "if"): first}
+    for _ in range(3):
+        assert check_pair(arena, bt, a, b, DropBudget(count=3)) is first
+    assert calls == {"pair_influence": 1, "select_drop_set": 1, "refit_without": 0}
+    assert _hex(first) == _hex(check_pair(arena, fit(arena), a, b, budget))
+
+
+def test_a_screened_check_is_stored_without_influence_or_selection(monkeypatch):
+    # At count 1 the top pair's gap exceeds the first-order bound: the check
+    # reads two rows of the inverse curvature and no class influence.
     arena = generate(random_spec(75, n_models=5, target_matchups=120))
     bt = fit(arena)
     a, b = ranking(bt).order[:2]
     budget = DropBudget(count=1)
     calls = _count_stages(monkeypatch)
     first = check_pair(arena, bt, a, b, budget)
-    assert not first.refit_performed
-    assert calls == {"pair_influence": 1, "select_drop_set": 1, "refit_without": 0}
+    assert first.dropped == () and first.predicted_flip is False and first.verdict == "robust"
+    assert type(first.predicted_delta) is float and -first.predicted_delta == _drop_effect_bound(
+        bt, a, b, 1, "if")
+    assert calls == {"pair_influence": 0, "select_drop_set": 0, "refit_without": 0}
+    assert "class_influence" not in bt._cache
     assert bt._cache["reports"] == {(a, b, budget, "if"): first}
     for _ in range(3):
-        assert check_pair(arena, bt, a, b, DropBudget(count=1)) is first
-    assert calls == {"pair_influence": 1, "select_drop_set": 1, "refit_without": 0}
+        assert check_pair(arena, bt, b, a, DropBudget(count=1)) is first
+    assert calls == {"pair_influence": 0, "select_drop_set": 0, "refit_without": 0}
     assert _hex(first) == _hex(check_pair(arena, fit(arena), a, b, budget))
+    rows, delta, flip = _first_order_reference(arena, bt, first.pair, 1, "if")
+    assert rows.size and not flip and first.predicted_delta <= delta
 
 
 def test_a_check_that_refits_is_never_stored(monkeypatch):
@@ -856,14 +882,14 @@ def test_a_count_and_an_alpha_that_resolve_alike_keep_their_own_reports():
     arena = generate(random_spec(75, n_models=5, target_matchups=120))
     bt = fit(arena)
     a, b = ranking(bt).order[:2]
-    alpha = DropBudget(alpha=0.02)
-    assert alpha.resolve(arena.n_matchups) == 2
+    alpha = DropBudget(alpha=0.025)  # 3 drops, which the first-order screen leaves to selection
+    assert alpha.resolve(arena.n_matchups) == 3
     by_alpha = check_pair(arena, bt, a, b, alpha)
-    by_count = check_pair(arena, bt, a, b, DropBudget(count=2))
-    assert by_count.budget.label() == "count=2" and by_alpha.budget.label() == alpha.label()
-    assert by_count.dropped == by_alpha.dropped and by_count != by_alpha
+    by_count = check_pair(arena, bt, a, b, DropBudget(count=3))
+    assert by_count.budget.label() == "count=3" and by_alpha.budget.label() == alpha.label()
+    assert by_count.dropped == by_alpha.dropped and by_count.dropped and by_count != by_alpha
     assert check_pair(arena, bt, a, b, alpha) is by_alpha
-    assert check_pair(arena, bt, a, b, DropBudget(count=2)) is by_count
+    assert check_pair(arena, bt, a, b, DropBudget(count=3)) is by_count
 
 
 def test_report_memo_is_keyed_by_canonical_pair_and_method():
@@ -923,3 +949,97 @@ def test_threads_sharing_one_report_memo_match_serial_audits():
     for (ia, ib, budget, method), rep in memo.items():
         assert _hex(rep) == _hex(check_pair(arena, fit(arena), ia, ib, budget, method=method))
         assert check_pair(arena, shared, ib, ia, budget, method=method) is rep
+
+
+def _first_order_reference(arena, bt, pair, count, method):
+    """A check's path with no screen: its drop set, predicted change and predicted flip."""
+    ia, ib = pair
+    scores = pair_influence(bt, ia, ib, method=method)
+    rows = select_drop_set(scores, arena.cells, count)
+    delta = float(-scores[arena.cells.row_class[rows]].sum()) if rows.size else 0.0
+    return rows, delta, float(bt.scores[ia]) - float(bt.scores[ib]) + delta < 0.0
+
+
+def _assert_screen_sound(arena, bt, count, method):
+    """Every pair's check and every top-k audit against the unscreened path.
+
+    Returns (screened checks, checks). The bound holds on every pair, screened or
+    not; a screened report predicts no flip, and neither does its reference. A
+    top-k audit on a fresh fit gives each pair the verdict, refit and predicted
+    flip of that pair's checked report.
+    """
+    checked, screened = {}, 0
+    budget = DropBudget(count=count)
+    for a in range(arena.n_models):
+        for b in range(a + 1, arena.n_models):
+            rep = check_pair(arena, bt, a, b, budget, method=method)
+            rows, delta, flip = _first_order_reference(arena, bt, rep.pair, count, method)
+            bound = _drop_effect_bound(bt, *rep.pair, count, method)
+            assert -delta <= bound
+            assert type(rep.predicted_flip) is bool
+            if rep.gap_before > bound:
+                screened += 1
+                assert not flip, (rep.pair, count, method)
+                assert rep.dropped == () and rep.predicted_delta == -bound
+                assert not rep.predicted_flip and not rep.refit_performed
+                assert rep.verdict == "robust"
+            else:
+                assert rep.dropped == tuple(rows.tolist())
+                assert rep.predicted_delta.hex() == delta.hex() and rep.predicted_flip is flip
+                assert rep.refit_performed is (flip and rows.size > 0)
+            checked[rep.pair] = rep
+    cold = fit(arena)
+    for k in range(1, arena.n_models):
+        for rep in check_topk(arena, cold, k, budget, method=method).per_pair:
+            ref = checked[rep.pair]
+            assert (rep.verdict, rep.refit_performed, rep.predicted_flip) == (
+                ref.verdict, ref.refit_performed, ref.predicted_flip)
+    return screened, len(checked)
+
+
+@pytest.mark.parametrize("method", ["if", "newton"])
+def test_the_first_order_screen_settles_no_check_the_full_path_would_flip(method):
+    # Bench oracle-sweep arenas (M 2-5, N 12-20) at the counts that fit them, and
+    # 3,000-row 20-model bench arenas, where count 20 fits.
+    inputs = bench_inputs()
+    arenas = [inputs.tiny_arena(seed, index) for seed in (1, 2) for index in range(0, 252, 4)]
+    arenas += [inputs.big_arena(seed, 20, 3000) for seed in (3, 4)]
+    screened = checks = 0
+    for side_a, side_b, a_won in arenas:
+        n_models = int(max(side_a.max(), side_b.max())) + 1
+        arena = Arena.from_records([f"m{k}" for k in range(n_models)], zip(side_a, side_b, a_won))
+        bt = fit(arena)
+        for count in (1, 2, 5, 20):
+            if count < arena.n_matchups:
+                s, c = _assert_screen_sound(arena, bt, count, method)
+                screened, checks = screened + s, checks + c
+    assert 0 < screened < checks
+
+
+def test_a_gap_within_ulps_of_the_bound_is_screened_only_above_it():
+    # The fit's scores are replaced so the pair's gap steps across its bound one
+    # ulp at a time; the factor, and so the bound, stay those of the real fit.
+    arena = Arena.from_records(["a", "b", "c"], [(0, 1, 1)] * 30 + [(0, 1, 0)] + [(1, 2, 1)] * 5
+                               + [(2, 1, 1), (0, 2, 1), (2, 0, 1)])
+    bt = fit(arena)
+    factor = hessian_factor(bt)
+    for method in ("if", "newton"):
+        for count in (1, 2, 5, 20):
+            for a, b in ((0, 1), (1, 2), (0, 2)):
+                bound = _drop_effect_bound(bt, a, b, count, method)
+                gap = bound
+                for _ in range(3):
+                    gap = np.nextafter(gap, 0.0)
+                for step in range(-3, 4):
+                    scores = np.zeros(arena.n_models)
+                    scores[a] = gap
+                    twin = dataclasses.replace(bt, scores=scores, _cache={"hessian_factor": factor})
+                    rep = check_pair(arena, twin, a, b, DropBudget(count=count), method=method)
+                    rows, delta, flip = _first_order_reference(arena, twin, (a, b), count, method)
+                    assert rep.pair == (a, b) and rep.gap_before == gap
+                    assert rep.predicted_flip is flip
+                    if step > 0:
+                        assert not flip and rep.dropped == () and rep.predicted_delta == -bound
+                    else:
+                        assert rep.dropped == tuple(rows.tolist()) and rep.predicted_delta == delta
+                    gap = np.nextafter(gap, np.inf)
